@@ -81,7 +81,7 @@ struct ShardFixture {
 };
 
 // Settled fleet gather over a primed day: scatter to N shards, merge the
-// wire snapshots through the canonical fold.
+// wire snapshots through the result builder's fleet fold.
 void BM_ShardGather(benchmark::State& state) {
   ThreadPool pool(4);
   ShardFixture fx(static_cast<size_t>(state.range(0)), 512, &pool);

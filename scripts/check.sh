@@ -221,15 +221,16 @@ fi
 echo "== asan+ubsan: build =="
 cmake -B build-asan -S . -DCDIBOT_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target common_test stream_test chaos_test storage_test obs_test \
-           flow_test overload_test shard_test shard_socket_test \
+  --target common_test cdi_test stream_test chaos_test storage_test \
+           obs_test flow_test overload_test shard_test shard_socket_test \
            shard_socket_equivalence_test fleet_obs_test serve_test \
            serve_equivalence_test
 
-echo "== asan+ubsan: thread pool + retry + streaming engine =="
+echo "== asan+ubsan: thread pool + retry + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export ASAN_OPTIONS="detect_leaks=1"
 ./build-asan/tests/common_test --gtest_filter='ThreadPool*:Retry*'
+./build-asan/tests/cdi_test
 ./build-asan/tests/stream_test
 
 echo "== asan+ubsan: chaos + crash-safe storage + observability =="

@@ -1,13 +1,11 @@
 #ifndef CDIBOT_CDI_AGGREGATE_H_
 #define CDIBOT_CDI_AGGREGATE_H_
 
-#include <string>
+#include <array>
+#include <cstdint>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "cdi/vm_cdi.h"
-#include "common/statusor.h"
 #include "common/time.h"
 
 namespace cdibot {
@@ -16,26 +14,40 @@ namespace cdibot {
 ///
 ///   Q = sum_i(T_i * Q_i) / sum_i(T_i)
 ///
-/// Usable incrementally (the BI drill-down of Sec. V re-aggregates the same
-/// records along different dimensions). Merging two accumulators yields the
-/// same result as accumulating their union.
+/// Exact and order-free. Each term T_i * Q_i is the rounded double product,
+/// but the sum of terms is kept exactly in an integer superaccumulator
+/// (Neal's "small superaccumulator", arXiv:1505.05571): 32-bit digits in
+/// int64 limbs spanning every finite double, carried lazily. Add, Remove
+/// and Merge are integer additions, so any split, permutation or add/remove
+/// history of the same terms holds the same state up to carries, and Value()
+/// rounds the exact sum once. Every topology therefore gets the same bits.
+///
+/// Non-finite terms are counted apart and make Value() NaN or +/-Inf, as a
+/// double sum would; removing them again is exact as well.
 class CdiAccumulator {
  public:
+  /// Un-carried operations allowed before a carry pass: each leaves every
+  /// limb within 2^32 of its previous value, so limbs stay far from
+  /// overflowing int64 (and a merge of two accumulators within it still
+  /// does).
+  static constexpr int64_t kCarryInterval = int64_t{1} << 12;
+
   CdiAccumulator() = default;
 
   /// Adds one VM's indicator value with its service time.
   void Add(Duration service_time, double cdi);
 
-  /// Retracts a previously added sample — the streaming engine replaces a
-  /// VM's contribution in place when late events change its indicator.
-  /// Floating-point retraction is exact in the weight sum (int64) and
-  /// accurate to rounding in the weighted sum.
+  /// Retracts a previously added sample exactly — the streaming engine
+  /// replaces a VM's contribution in place when late events change its
+  /// indicator.
   void Remove(Duration service_time, double cdi);
 
   /// Merges another accumulator into this one.
   void Merge(const CdiAccumulator& other);
 
-  /// The aggregated Q. Returns 0 when no service time has been added.
+  /// The aggregated Q: the exact weighted sum rounded to nearest, divided
+  /// by the total service time. Returns 0 when no service time has been
+  /// added.
   double Value() const;
 
   Duration total_service_time() const {
@@ -44,15 +56,33 @@ class CdiAccumulator {
   bool empty() const { return total_service_ms_ == 0; }
 
  private:
-  double weighted_sum_ = 0.0;  // sum of T_i (ms) * Q_i
+  /// Digit i weighs 2^(32 * i - 1074); 66 digits cover the 2098 bit
+  /// positions of a finite double. The top limb keeps its carries
+  /// unreduced.
+  static constexpr int kDigits = 66;
+  using Digits = std::array<int64_t, kDigits>;
+
+  /// Adds (sign = +1) or subtracts (sign = -1) one term.
+  void AddTerm(double term, int sign);
+  void Carry();
+  static void Propagate(Digits& digits);
+  /// The exact sum of the finite terms, rounded to nearest-even.
+  double RoundedSum() const;
+
+  Digits digits_{};
+  int64_t uncarried_ = 0;
+  int64_t nan_terms_ = 0;
+  int64_t pos_inf_terms_ = 0;
+  int64_t neg_inf_terms_ = 0;
   int64_t total_service_ms_ = 0;
 };
 
 /// Mergeable partial form of the Eq.-4 fleet rollup: one accumulator per
-/// sub-metric. Each shard of the streaming engine (and each executor of the
-/// batch job, conceptually) folds its VMs into a partial; partials merge
-/// associatively and finalize into the fleet VmCdi. Merging partials yields
-/// the same result as folding the union of their VMs.
+/// sub-metric. Every topology folds through it — the batch job and the
+/// result builder over rows, each streaming shard over its VMs, the
+/// drill-down per group — and since CdiAccumulator is exact, merging
+/// partials gives the same bits as folding the union of their VMs in any
+/// order.
 class FleetCdiPartial {
  public:
   FleetCdiPartial() = default;
@@ -76,37 +106,16 @@ class FleetCdiPartial {
   CdiAccumulator u_, p_, c_;
 };
 
-/// Aggregates full per-VM results into one fleet-level VmCdi via Eq. 4,
-/// applied independently to each sub-metric.
-VmCdi AggregateVmCdi(const std::vector<VmCdi>& vms);
-
-/// The canonical Eq.-4 fleet fold: accumulates per-VM terms in ascending
-/// vm_id order as a single left fold, regardless of the order they were
-/// Add()ed in.
-///
-/// Why this exists: FP addition is commutative but not associative, so two
-/// topologies that group the same per-VM terms differently (batch slot
-/// order, streaming hash shards, scatter/gather over N shard workers) can
-/// finalize to fleet values differing in the last ulp. Every path that
-/// promises BIT-identical fleet CDI across topologies folds through this
-/// class instead of merging grouped partials; the mergeable partials remain
-/// the right tool for cheap incremental reads (FleetCdi()), where last-ulp
-/// grouping sensitivity is acceptable and documented.
+/// DEPRECATED forwarding shell over FleetCdiPartial, kept only because the
+/// frozen benchmark driver (cdi_bench/) calls it: delete with the next
+/// benchmark change. `vm_id` is ignored — the fold is order-free.
 class CanonicalCdiFold {
  public:
-  /// Records one VM's term. vm_id must be unique across Add calls (the
-  /// callers fold map-keyed rows, which guarantees it).
-  void Add(std::string_view vm_id, const VmCdi& cdi);
-
-  /// Sorts the recorded terms by vm_id and left-folds them into the fleet
-  /// VmCdi. Deterministic: same (vm_id, cdi) set in any insertion order
-  /// yields the same bits.
-  VmCdi Finalize();
-
-  bool empty() const { return terms_.empty(); }
+  void Add(std::string_view /*vm_id*/, const VmCdi& cdi) { fold_.AddVm(cdi); }
+  VmCdi Finalize() const { return fold_.Finalize(); }
 
  private:
-  std::vector<std::pair<std::string, VmCdi>> terms_;
+  FleetCdiPartial fold_;
 };
 
 }  // namespace cdibot

@@ -118,15 +118,4 @@ UnavailabilityStats UnavailabilityPartial::Finalize() const {
   return total;
 }
 
-UnavailabilityStats AggregateUnavailabilityStats(
-    const std::vector<UnavailabilityStats>& per_vm,
-    const std::vector<Duration>& service_times) {
-  UnavailabilityPartial partial;
-  for (size_t i = 0; i < per_vm.size(); ++i) {
-    partial.AddVm(per_vm[i], i < service_times.size() ? service_times[i]
-                                                      : Duration::Zero());
-  }
-  return partial.Finalize();
-}
-
 }  // namespace cdibot

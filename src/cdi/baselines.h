@@ -1,7 +1,6 @@
 #ifndef CDIBOT_CDI_BASELINES_H_
 #define CDIBOT_CDI_BASELINES_H_
 
-#include <initializer_list>
 #include <vector>
 
 #include "common/statusor.h"
@@ -46,15 +45,6 @@ StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
     const std::vector<ResolvedEventView>& events,
     const Interval& service_period);
 
-/// Braced-list convenience (`ComputeUnavailabilityStats({}, day)`): without
-/// it an empty list is ambiguous between the owning and view overloads.
-inline StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
-    std::initializer_list<ResolvedEvent> events,
-    const Interval& service_period) {
-  return ComputeUnavailabilityStats(std::vector<ResolvedEvent>(events),
-                                    service_period);
-}
-
 /// Mergeable partial form of the classic-metrics fleet rollup: episode
 /// counts, downtime, and service time are plain sums, so per-shard partials
 /// merge associatively and the rates re-derive at finalize time.
@@ -89,12 +79,6 @@ class UnavailabilityPartial {
   Duration downtime_;
   Duration service_total_;
 };
-
-/// Fleet-level aggregation of the classic metrics: durations and episode
-/// counts add; rates re-normalize by total service time.
-UnavailabilityStats AggregateUnavailabilityStats(
-    const std::vector<UnavailabilityStats>& per_vm,
-    const std::vector<Duration>& service_times);
 
 }  // namespace cdibot
 

@@ -1,49 +1,55 @@
 #include "cdi/drilldown.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace cdibot {
 
-namespace {
+Status ValidateDrilldownDimensions(
+    const std::vector<std::string>& dimensions) {
+  if (dimensions.empty()) {
+    return Status::InvalidArgument("drill-down needs at least one dimension");
+  }
+  for (size_t i = 0; i < dimensions.size(); ++i) {
+    if (dimensions[i].empty()) {
+      return Status::InvalidArgument("drill-down dimension name is empty");
+    }
+    for (size_t j = i + 1; j < dimensions.size(); ++j) {
+      if (dimensions[i] == dimensions[j]) {
+        return Status::InvalidArgument("duplicate drill-down dimension: " +
+                                       dimensions[i]);
+      }
+    }
+  }
+  return Status::OK();
+}
 
-std::string JoinKey(const std::vector<std::string>& values) {
+void DrilldownGroupFold::Add(const VmCdiRecord& rec) {
+  cdi_.AddVm(rec.cdi);
+  ++count_;
+  quality_.Merge(rec.quality);
+}
+
+DrilldownGroup DrilldownGroupFold::Finish(
+    std::vector<std::string> values) const {
   std::string key;
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) key += '/';
     key += values[i];
   }
-  return key;
+  return DrilldownGroup{.values = std::move(values),
+                        .key = std::move(key),
+                        .cdi = cdi_.Finalize(),
+                        .vm_count = count_,
+                        .quality = quality_};
 }
-
-}  // namespace
 
 StatusOr<DrilldownResult> RunDrilldown(const std::vector<VmCdiRecord>& records,
                                        const DrilldownQuery& query) {
-  if (query.dimensions.empty()) {
-    return Status::InvalidArgument("drill-down needs at least one dimension");
-  }
-  for (size_t i = 0; i < query.dimensions.size(); ++i) {
-    if (query.dimensions[i].empty()) {
-      return Status::InvalidArgument("drill-down dimension name is empty");
-    }
-    for (size_t j = i + 1; j < query.dimensions.size(); ++j) {
-      if (query.dimensions[i] == query.dimensions[j]) {
-        return Status::InvalidArgument("duplicate drill-down dimension: " +
-                                       query.dimensions[i]);
-      }
-    }
-  }
+  CDIBOT_RETURN_IF_ERROR(ValidateDrilldownDimensions(query.dimensions));
 
-  struct Accums {
-    CdiAccumulator u, p, c;
-    Duration service;
-    size_t count = 0;
-    DataQuality quality;
-  };
   // std::map over the composite value vector: groups come out sorted slot
-  // by slot, and each group's accumulators are folded in input record
-  // order.
-  std::map<std::vector<std::string>, Accums> groups;
+  // by slot.
+  std::map<std::vector<std::string>, DrilldownGroupFold> groups;
   DrilldownResult result;
   std::vector<std::string> values(query.dimensions.size());
   for (const VmCdiRecord& rec : records) {
@@ -64,26 +70,12 @@ StatusOr<DrilldownResult> RunDrilldown(const std::vector<VmCdiRecord>& records,
       auto it = rec.dims.find(query.dimensions[i]);
       values[i] = it == rec.dims.end() ? "" : it->second;
     }
-    Accums& acc = groups[values];
-    acc.u.Add(rec.cdi.service_time, rec.cdi.unavailability);
-    acc.p.Add(rec.cdi.service_time, rec.cdi.performance);
-    acc.c.Add(rec.cdi.service_time, rec.cdi.control_plane);
-    acc.service += rec.cdi.service_time;
-    ++acc.count;
-    acc.quality.Merge(rec.quality);
+    groups[values].Add(rec);
     result.quality.Merge(rec.quality);
   }
   result.groups.reserve(groups.size());
-  for (const auto& [key, acc] : groups) {
-    result.groups.push_back(DrilldownGroup{
-        .values = key,
-        .key = JoinKey(key),
-        .cdi = VmCdi{.unavailability = acc.u.Value(),
-                     .performance = acc.p.Value(),
-                     .control_plane = acc.c.Value(),
-                     .service_time = acc.service},
-        .vm_count = acc.count,
-        .quality = acc.quality});
+  for (const auto& [values, fold] : groups) {
+    result.groups.push_back(fold.Finish(values));
   }
   return result;
 }

@@ -114,12 +114,30 @@ struct DrilldownResult {
   DataQuality quality;
 };
 
+/// InvalidArgument when `dimensions` is empty, contains an empty name, or
+/// contains a duplicate: the one dimension check of RunDrilldown, the
+/// serving cube and the query service's group-by.
+Status ValidateDrilldownDimensions(const std::vector<std::string>& dimensions);
+
+/// One drill-down group being folded: the Eq.-4 partial, member count and
+/// merged quality of its records. RunDrilldown and the serving cube both
+/// fold through it, so their groups carry the same bits.
+class DrilldownGroupFold {
+ public:
+  void Add(const VmCdiRecord& rec);
+  DrilldownGroup Finish(std::vector<std::string> values) const;
+
+ private:
+  FleetCdiPartial cdi_;
+  size_t count_ = 0;
+  DataQuality quality_;
+};
+
 /// Aggregates per-VM records along one or more placement dimensions with
-/// Eq. 4. Each group folds its members in input record order; groups come
-/// out key-sorted.
+/// Eq. 4; groups come out key-sorted.
 ///
-/// Errors: InvalidArgument when `query.dimensions` is empty, contains an
-/// empty name, or contains duplicates.
+/// Errors: InvalidArgument when `query.dimensions` fails
+/// ValidateDrilldownDimensions.
 StatusOr<DrilldownResult> RunDrilldown(const std::vector<VmCdiRecord>& records,
                                        const DrilldownQuery& query);
 

@@ -1,7 +1,6 @@
 #ifndef CDIBOT_CDI_INDICATOR_H_
 #define CDIBOT_CDI_INDICATOR_H_
 
-#include <initializer_list>
 #include <vector>
 
 #include "common/statusor.h"
@@ -33,13 +32,6 @@ StatusOr<double> ComputeCdi(const std::vector<WeightedEvent>& events,
 StatusOr<double> ComputeCdi(const std::vector<WeightedEventView>& events,
                             const Interval& service_period);
 
-/// Braced-list convenience (`ComputeCdi({}, day)`): without it an empty
-/// list is ambiguous between the owning and view overloads.
-inline StatusOr<double> ComputeCdi(std::initializer_list<WeightedEvent> events,
-                                   const Interval& service_period) {
-  return ComputeCdi(std::vector<WeightedEvent>(events), service_period);
-}
-
 /// The literal Algorithm 1: materializes a per-minute weight array
 /// W[T_s..T_e], takes per-slot maxima, and averages. Time and memory are
 /// proportional to the service period length in minutes. Event boundaries
@@ -65,14 +57,6 @@ StatusOr<double> ComputeDamageMinutes(const std::vector<WeightedEvent>& events,
 StatusOr<double> ComputeDamageMinutes(
     const std::vector<WeightedEventView>& events,
     const Interval& service_period);
-
-/// Braced-list convenience (see ComputeCdi).
-inline StatusOr<double> ComputeDamageMinutes(
-    std::initializer_list<WeightedEvent> events,
-    const Interval& service_period) {
-  return ComputeDamageMinutes(std::vector<WeightedEvent>(events),
-                              service_period);
-}
 
 }  // namespace cdibot
 

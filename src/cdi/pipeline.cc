@@ -140,11 +140,9 @@ void DailyCdiResultBuilder::Sample(const std::string& reason,
 }
 
 DailyCdiResult DailyCdiResultBuilder::Finish() && {
-  CanonicalCdiFold fleet_fold;
-  for (const VmCdiRecord& rec : result_.per_vm) {
-    fleet_fold.Add(rec.vm_id, rec.cdi);
-  }
-  result_.fleet = fleet_fold.Finalize();
+  FleetCdiPartial fleet;
+  for (const VmCdiRecord& rec : result_.per_vm) fleet.AddVm(rec.cdi);
+  result_.fleet = fleet.Finalize();
   result_.fleet_baseline = baseline_.Finalize();
   return std::move(result_);
 }
@@ -303,8 +301,8 @@ StatusOr<DailyCdiResult> DailyCdiJob::Run(
     for (size_t i = 0; i < vms.size(); ++i) process_vm(i);
   }
 
-  // Rows keep input order; the builder's canonical fold makes the fleet
-  // value independent of it.
+  // Rows keep input order; the builder's exact fold makes the fleet value
+  // independent of it.
   DailyCdiResultBuilder builder;
   for (size_t i = 0; i < vms.size(); ++i) {
     VmSlot& slot = slots[i];

@@ -154,9 +154,9 @@ struct DailyCdiResult {
 /// derived values (`fleet` and the baseline ratios) are computed once, in
 /// Finish(), over the union of rows:
 ///
-///   * fleet CDI folds `per_vm` through CanonicalCdiFold, so the bits do not
-///     depend on how the rows were split into partials or in what order
-///     they arrived;
+///   * fleet CDI folds `per_vm` in arrival order through FleetCdiPartial,
+///     whose exact accumulators make the bits independent of how the rows
+///     were split into partials and in what order they arrived;
 ///   * the baseline merges raw (interruption_count, downtime,
 ///     fleet_service_time) sums, which are integers and exact in any order.
 ///

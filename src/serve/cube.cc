@@ -120,35 +120,11 @@ void DrilldownCube::Refresh(std::vector<VmCdiRecord> rows,
   refresh_counter_->Increment();
 }
 
-void DrilldownCube::FoldGroup(const View& view,
-                              const std::vector<std::string>& values,
+void DrilldownCube::FoldGroup(const std::vector<std::string>& values,
                               GroupState& state) {
-  (void)view;
-  CdiAccumulator u, p, c;
-  Duration service;
-  DataQuality quality;
-  for (uint32_t idx : state.members) {
-    const VmCdiRecord& rec = rows_[idx];
-    u.Add(rec.cdi.service_time, rec.cdi.unavailability);
-    p.Add(rec.cdi.service_time, rec.cdi.performance);
-    c.Add(rec.cdi.service_time, rec.cdi.control_plane);
-    service += rec.cdi.service_time;
-    quality.Merge(rec.quality);
-  }
-  std::string key;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) key += '/';
-    key += values[i];
-  }
-  state.folded = DrilldownGroup{
-      .values = values,
-      .key = std::move(key),
-      .cdi = VmCdi{.unavailability = u.Value(),
-                   .performance = p.Value(),
-                   .control_plane = c.Value(),
-                   .service_time = service},
-      .vm_count = state.members.size(),
-      .quality = quality};
+  DrilldownGroupFold fold;
+  for (uint32_t idx : state.members) fold.Add(rows_[idx]);
+  state.folded = fold.Finish(values);
   state.dirty = false;
   ++stats_.groups_recomputed;
   recompute_counter_->Increment();
@@ -158,20 +134,7 @@ StatusOr<DrilldownResult> DrilldownCube::Answer(const DrilldownQuery& query) {
   if (!loaded_) {
     return Status::FailedPrecondition("cube has no snapshot loaded");
   }
-  if (query.dimensions.empty()) {
-    return Status::InvalidArgument("drill-down needs at least one dimension");
-  }
-  for (size_t i = 0; i < query.dimensions.size(); ++i) {
-    if (query.dimensions[i].empty()) {
-      return Status::InvalidArgument("drill-down dimension name is empty");
-    }
-    for (size_t j = i + 1; j < query.dimensions.size(); ++j) {
-      if (query.dimensions[i] == query.dimensions[j]) {
-        return Status::InvalidArgument("duplicate drill-down dimension: " +
-                                       query.dimensions[i]);
-      }
-    }
-  }
+  CDIBOT_RETURN_IF_ERROR(ValidateDrilldownDimensions(query.dimensions));
 
   const std::string key = ViewKey(query);
   auto it = views_.find(key);
@@ -191,7 +154,7 @@ StatusOr<DrilldownResult> DrilldownCube::Answer(const DrilldownQuery& query) {
   result.records_filtered = view.records_filtered;
   result.groups.reserve(view.groups.size());
   for (auto& [values, state] : view.groups) {
-    if (state.dirty) FoldGroup(view, values, state);
+    if (state.dirty) FoldGroup(values, state);
     result.groups.push_back(state.folded);
     result.quality.Merge(state.folded.quality);
   }

@@ -34,10 +34,9 @@ struct CubeStats {
 ///
 /// Bit-identity contract (pinned by the differential suite): Answer() is
 /// bitwise equal to RunDrilldown(rows, query) over the current rows, for
-/// every double. This holds because members are stored in row order —
-/// snapshots sort per_vm ascending by vm_id, the same order RunDrilldown
-/// folds in — and an unchanged group's cached fold is definitionally the
-/// fold of the same bits.
+/// every double. This holds because both fold each group through the same
+/// exact, order-free DrilldownGroupFold, and an unchanged group's cached
+/// fold is definitionally the fold of the same bits.
 ///
 /// Thread safety: none; the owning CdiQueryService serializes access.
 class DrilldownCube {
@@ -79,10 +78,9 @@ class DrilldownCube {
   /// Rebuilds `view`'s membership from rows_, marking changed groups
   /// dirty. Called on view creation and after every Refresh.
   void RevalidateView(View& view);
-  /// Folds one dirty group (members in ascending row order — the
-  /// RunDrilldown order).
-  void FoldGroup(const View& view, const std::vector<std::string>& values,
-                 GroupState& state);
+  /// Folds one dirty group through DrilldownGroupFold, as RunDrilldown
+  /// does.
+  void FoldGroup(const std::vector<std::string>& values, GroupState& state);
   static std::string ViewKey(const DrilldownQuery& query);
 
   std::vector<VmCdiRecord> rows_;

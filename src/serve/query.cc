@@ -63,16 +63,6 @@ std::string_view ConsistencyToString(Consistency c) {
   return "unknown";
 }
 
-std::string_view FleetFidelityToString(FleetFidelity f) {
-  switch (f) {
-    case FleetFidelity::kCanonical:
-      return "canonical";
-    case FleetFidelity::kPartialMerge:
-      return "partial-merge";
-  }
-  return "unknown";
-}
-
 std::string CanonicalQueryKey(const CdiQuery& query) {
   // Field markers keep distinct queries from colliding after
   // concatenation; values are length-prefixed for the same reason (a
@@ -87,8 +77,6 @@ std::string CanonicalQueryKey(const CdiQuery& query) {
   for (const std::string& dim : query.group_by) {
     key += std::to_string(dim.size()) + '.' + dim;
   }
-  key += "|fid:";
-  key += FleetFidelityToString(query.fleet_fidelity);
   key += query.include_detail ? "|d1" : "|d0";
   return key;
 }
@@ -98,8 +86,6 @@ std::string RenderResponseJson(const CdiQuery& query,
   std::string out = "{\"query\":{";
   out += "\"consistency\":\"";
   out += ConsistencyToString(query.consistency);
-  out += "\",\"fleet_fidelity\":\"";
-  out += FleetFidelityToString(query.fleet_fidelity);
   out += "\",\"filter\":{";
   bool first = true;
   for (const auto& [dim, value] : query.filter) {

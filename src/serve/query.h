@@ -32,21 +32,6 @@ enum class Consistency : int {
 
 std::string_view ConsistencyToString(Consistency c);
 
-/// Which fleet-CDI code path the response's `fleet` field reflects. The
-/// two legacy read paths do not produce bitwise-identical doubles (the
-/// canonical ascending-vm_id fold vs the cheap shard-partial merge differ
-/// in grouping, documented at StreamingCdiEngine::FleetCdi), and callers
-/// re-routed through the facade must keep the exact bits they always got.
-enum class FleetFidelity : int {
-  /// CanonicalCdiFold over per-VM rows — the Snapshot()/gather path,
-  /// bit-identical across topologies.
-  kCanonical = 0,
-  /// The engine's O(shards) partial merge — the FleetCdi() fast path.
-  kPartialMerge = 1,
-};
-
-std::string_view FleetFidelityToString(FleetFidelity f);
-
 /// The one query-shaped read request every CDI consumer sends, whether the
 /// backing engine is batch, streaming single-node, or a sharded fleet.
 struct CdiQuery {
@@ -63,7 +48,6 @@ struct CdiQuery {
   Consistency consistency = Consistency::kCached;
   /// Acceptable watermark lag for kStaleOk.
   Duration max_staleness = Duration::Minutes(5);
-  FleetFidelity fleet_fidelity = FleetFidelity::kCanonical;
   /// Attach the full batch-compatible DailyCdiResult to the response
   /// (CdiQueryResponse::detail) — the re-route path for legacy
   /// Snapshot()/Preview() callers that consume whole result tables.
@@ -72,7 +56,7 @@ struct CdiQuery {
 
 /// Canonical cache key: a stable serialization of everything that changes
 /// the *answer* — filter (sorted by construction), group-by (order kept:
-/// region/az and az/region are different cubes), fidelity, detail flag.
+/// region/az and az/region are different cubes), detail flag.
 /// Deliberately excludes deadline and consistency: those say how hard to
 /// try and how stale is acceptable, not what is being asked, so a kFresh
 /// pull warms the cache for the kCached callers asking the same question.
@@ -84,10 +68,9 @@ std::string CanonicalQueryKey(const CdiQuery& query);
 /// stream the answer reflects), and the deferred count (how partial a
 /// deadline-bounded pull was).
 struct CdiQueryResponse {
-  /// Fleet-level Eq.-4 aggregate, via the path `fleet_fidelity` selected.
+  /// Fleet-level Eq.-4 aggregate.
   VmCdi fleet;
-  /// Downtime Percentage / AIR / MTBF / MTTR over the same inputs
-  /// (canonical-pull path; zero-valued for pure kPartialMerge answers).
+  /// Downtime Percentage / AIR / MTBF / MTTR over the same inputs.
   UnavailabilityStats fleet_baseline;
   /// Drill-down rows for `group_by` (empty for fleet-only queries),
   /// bit-identical to RunDrilldown over the source's per-VM rows.

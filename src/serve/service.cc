@@ -50,16 +50,8 @@ CdiQueryService::CdiQueryService(CdiReadSource* source,
 }
 
 Status CdiQueryService::Validate(const CdiQuery& query) {
-  for (size_t i = 0; i < query.group_by.size(); ++i) {
-    if (query.group_by[i].empty()) {
-      return Status::InvalidArgument("group_by dimension name is empty");
-    }
-    for (size_t j = i + 1; j < query.group_by.size(); ++j) {
-      if (query.group_by[i] == query.group_by[j]) {
-        return Status::InvalidArgument("duplicate group_by dimension: " +
-                                       query.group_by[i]);
-      }
-    }
+  if (!query.group_by.empty()) {
+    CDIBOT_RETURN_IF_ERROR(ValidateDrilldownDimensions(query.group_by));
   }
   for (const auto& [dim, value] : query.filter) {
     (void)value;
@@ -157,14 +149,7 @@ StatusOr<CdiQueryResponse> CdiQueryService::ComputeLocked(
   response.quality = last_quality_;
   response.vms_deferred = last_deferred_;
   response.fleet_baseline = last_baseline_;
-  if (query.fleet_fidelity == FleetFidelity::kPartialMerge) {
-    // The legacy FleetCdi() fast path: same code, same bits.
-    auto quick = source_->QuickFleetCdi();
-    if (!quick.ok()) return quick.status();
-    response.fleet = *quick;
-  } else {
-    response.fleet = last_fleet_;
-  }
+  response.fleet = last_fleet_;
   if (!query.group_by.empty()) {
     DrilldownQuery dq{.dimensions = query.group_by, .filter = query.filter};
     if (options_.materialize_cubes) {

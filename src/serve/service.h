@@ -38,10 +38,10 @@ class CdiReadSource {
   /// the result is marked partial — degraded, not wrong).
   virtual StatusOr<DailyCdiResult> Pull(const Deadline& deadline) = 0;
 
-  /// The cheap fleet-only read (the engine's O(shards) partial merge).
-  /// Kept distinct from Pull because its doubles are NOT bit-identical to
-  /// the canonical fold, and re-routed FleetCdi() callers must keep the
-  /// exact bits they always got (FleetFidelity::kPartialMerge).
+  /// The engine's fleet-only read. The service no longer calls it (a
+  /// fleet-only Query returns the same bits); kept only because the frozen
+  /// benchmark driver (cdi_bench/) overrides it: delete with the next
+  /// benchmark change, together with the two overrides below.
   virtual StatusOr<VmCdi> QuickFleetCdi() = 0;
 };
 

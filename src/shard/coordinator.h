@@ -146,9 +146,9 @@ struct ShardFleetStats {
 /// and answers fleet queries by scatter/gather: each shard computes its
 /// local snapshot, the coordinator merges the partials. The merge is
 /// bit-identical to a single-node engine over the same inputs: per-VM rows
-/// cross the wire with bit-cast doubles and fold through the canonical
-/// ascending-vm_id fleet fold, and the unavailability baseline travels as
-/// raw integer sums which merge exactly in any grouping.
+/// cross the wire with bit-cast doubles and fold through the exact,
+/// order-free fleet fold, and the unavailability baseline travels as raw
+/// integer sums which merge exactly in any grouping.
 ///
 /// Transport: workers live behind ShardHosts — in-process channels, socket
 /// threads, or real child processes (ShardTransportMode). Over sockets the
@@ -226,7 +226,7 @@ class ShardCoordinator {
   /// when no shard responds.
   StatusOr<DailyCdiResult> Preview(const Deadline& deadline);
 
-  /// Fleet Eq.-4 CDI (canonical fold over a settled gather).
+  /// Fleet Eq.-4 CDI (the fleet fold over a settled gather).
   ///
   /// DEPRECATED as a consumer API: prefer serve::CdiQueryService (a
   /// fleet-only query over a CoordinatorSource), which caches the gather

@@ -508,10 +508,9 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
 
   if (stream.has_value()) {
     if (stream_service.has_value()) {
-      // kPartialMerge keeps the exact bits of the legacy FleetCdi() fast
-      // path (the shard-partial merge, not the canonical fold).
+      // A fresh fleet-only query: the same bits as the engine's FleetCdi().
       serve::CdiQuery q;
-      q.fleet_fidelity = serve::FleetFidelity::kPartialMerge;
+      q.consistency = serve::Consistency::kFresh;
       CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse fleet_resp,
                               stream_service->Query(q));
       result.fleet_cdi_streaming = fleet_resp.fleet;
@@ -524,8 +523,8 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
 
   if (sharded != nullptr) {
     if (shard_service.has_value()) {
-      // A fresh canonical-fidelity query is exactly the coordinator's
-      // Snapshot() gather: same scatter, same fold, same bits.
+      // A fresh query is exactly the coordinator's Snapshot() gather: same
+      // scatter, same fold, same bits.
       serve::CdiQuery q;
       q.consistency = serve::Consistency::kFresh;
       CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse sharded_resp,

@@ -96,8 +96,8 @@ struct AutomationLoopOptions {
   /// `cdi_shards` workers behind message channels) runs alongside the
   /// batch job: every event is routed to its owner shard as it is emitted
   /// and the day ends with a scatter/gather snapshot. Its fleet CDI is
-  /// bit-identical to the single-node streaming engine's (both run the
-  /// canonical fleet fold) — pinned by the sharded-equivalence suite.
+  /// bit-identical to the single-node streaming engine's (the fleet fold
+  /// is exact) — pinned by the sharded-equivalence suite.
   bool sharded_cdi = false;
   size_t cdi_shards = 4;
   /// Transport for the sharded fleet (requires sharded_cdi). kInProcess

@@ -434,10 +434,6 @@ StatusOr<DailyCdiResult> StreamingCdiEngine::SnapshotImpl(
       }
     }
   }
-  // The fleet value is the builder's canonical fold, not a merge of the
-  // shard partials: their grouping follows the hash-shard layout, and only
-  // the canonical fold is bit-identical to the batch job and the shard
-  // gather. FleetCdi() keeps the cheap partial merge.
   DailyCdiResult result = std::move(builder).Finish();
   result.SortRows();
 

@@ -71,7 +71,7 @@ struct StreamingCdiStats {
 /// row order (snapshot rows are sorted by vm_id). The per-VM math is the
 /// same ComputeVmDailyCdi call, period resolution is arrival-order
 /// invariant, and both assemble through DailyCdiResultBuilder, whose
-/// canonical fleet fold does not depend on row order. The differential
+/// exact fleet fold does not depend on row order. The differential
 /// suite in tests/stream_batch_equivalence_test.cc pins this property.
 ///
 /// Thread safety: Ingest/RegisterVm/Snapshot are individually thread-safe
@@ -140,12 +140,12 @@ class StreamingCdiEngine {
   /// folds the revisions into the per-shard partial aggregates, and returns
   /// the fleet-level CDI by merging the shard partials. Cost is
   /// O(dirty VMs + shards), independent of fleet size when the stream is
-  /// quiet.
+  /// quiet. The partials are exact, so the bits equal Snapshot().fleet and
+  /// the batch job's fleet over the same VMs.
   ///
   /// DEPRECATED as a consumer API: new read paths should go through
-  /// serve::CdiQueryService (fleet_fidelity = kPartialMerge keeps this
-  /// method's exact bits) and gain caching, staleness bounds, and
-  /// admission control. Kept for the facade itself and existing callers.
+  /// serve::CdiQueryService (a fleet-only query returns the same bits) and
+  /// gain caching, staleness bounds, and admission control.
   StatusOr<VmCdi> FleetCdi();
 
   /// Full batch-compatible snapshot: per-VM rows, per-event drill-down

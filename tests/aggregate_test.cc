@@ -58,6 +58,12 @@ TEST(CdiAccumulatorTest, ValueIsWithinInputRange) {
   EXPECT_LE(acc.Value(), 0.8);
 }
 
+VmCdi FoldAll(const std::vector<VmCdi>& vms) {
+  FleetCdiPartial fleet;
+  for (const VmCdi& vm : vms) fleet.AddVm(vm);
+  return fleet.Finalize();
+}
+
 TEST(AggregateVmCdiTest, AggregatesEachSubMetric) {
   std::vector<VmCdi> vms = {
       VmCdi{.unavailability = 0.1,
@@ -69,7 +75,7 @@ TEST(AggregateVmCdiTest, AggregatesEachSubMetric) {
             .control_plane = 0.4,
             .service_time = Duration::Minutes(300)},
   };
-  const VmCdi all = AggregateVmCdi(vms);
+  const VmCdi all = FoldAll(vms);
   EXPECT_NEAR(all.unavailability, (100 * 0.1 + 300 * 0.3) / 400.0, 1e-12);
   EXPECT_NEAR(all.performance, (100 * 0.2) / 400.0, 1e-12);
   EXPECT_NEAR(all.control_plane, (300 * 0.4) / 400.0, 1e-12);
@@ -77,7 +83,7 @@ TEST(AggregateVmCdiTest, AggregatesEachSubMetric) {
 }
 
 TEST(AggregateVmCdiTest, EmptyInput) {
-  const VmCdi all = AggregateVmCdi({});
+  const VmCdi all = FoldAll({});
   EXPECT_DOUBLE_EQ(all.unavailability, 0.0);
   EXPECT_DOUBLE_EQ(all.performance, 0.0);
   EXPECT_DOUBLE_EQ(all.control_plane, 0.0);
@@ -90,7 +96,7 @@ TEST(AggregateVmCdiTest, AggregationIsIdempotentOnUniformFleet) {
                                    .performance = 0.01,
                                    .control_plane = 0.02,
                                    .service_time = Duration::Days(1)});
-  const VmCdi all = AggregateVmCdi(vms);
+  const VmCdi all = FoldAll(vms);
   EXPECT_NEAR(all.unavailability, 0.05, 1e-12);
   EXPECT_NEAR(all.performance, 0.01, 1e-12);
   EXPECT_NEAR(all.control_plane, 0.02, 1e-12);

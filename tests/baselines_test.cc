@@ -25,7 +25,7 @@ ResolvedEvent P(const char* start, const char* end) {
 
 TEST(BaselinesTest, NoEventsMeansPerfectAvailability) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  auto stats = ComputeUnavailabilityStats({}, day);
+  auto stats = ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, day);
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats->downtime_percentage, 0.0);
   EXPECT_DOUBLE_EQ(stats->annual_interruption_rate, 0.0);
@@ -81,7 +81,7 @@ TEST(BaselinesTest, EventsClampIntoServicePeriod) {
 
 TEST(BaselinesTest, EmptyServicePeriodFails) {
   const Interval empty(T("2024-01-01 00:00"), T("2024-01-01 00:00"));
-  EXPECT_TRUE(ComputeUnavailabilityStats({}, empty)
+  EXPECT_TRUE(ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, empty)
                   .status()
                   .IsInvalidArgument());
 }
@@ -103,10 +103,12 @@ TEST(BaselinesTest, FleetAggregation) {
                                          "2024-01-01 02:24")},
                                       day)
                .value();  // 10% of one day
-  auto b = ComputeUnavailabilityStats({}, day).value();
-  auto fleet = AggregateUnavailabilityStats({a, b},
-                                            {Duration::Days(1),
-                                             Duration::Days(1)});
+  auto b =
+      ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, day).value();
+  UnavailabilityPartial partial;
+  partial.AddVm(a, Duration::Days(1));
+  partial.AddVm(b, Duration::Days(1));
+  const UnavailabilityStats fleet = partial.Finalize();
   EXPECT_NEAR(fleet.downtime_percentage, 0.05, 1e-12);
   EXPECT_EQ(fleet.interruption_count, 1u);
   // One interruption over 2 VM-days -> 182.5 per VM-year.

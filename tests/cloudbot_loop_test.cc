@@ -140,8 +140,9 @@ TEST_F(CloudBotLoopTest, ShardedModeMatchesStreamingBitExactly) {
                                  *weights_, options, &rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->incidents, 0u);
-  // Both topologies run the canonical fleet fold over identical inputs:
-  // the scatter/gather answer is bit-identical, not merely close.
+  // The streaming side answers from its engine's shard-partial merge, the
+  // sharded side re-folds the gathered rows: the fleet fold is exact, so
+  // the two are bit-identical, not merely close.
   EXPECT_EQ(result->fleet_cdi_sharded.unavailability,
             result->fleet_cdi_streaming.unavailability);
   EXPECT_EQ(result->fleet_cdi_sharded.performance,

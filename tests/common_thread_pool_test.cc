@@ -197,16 +197,18 @@ TEST(ThreadPoolShutdownTest, ShutdownIsIdempotent) {
 }
 
 TEST(ThreadPoolShutdownTest, SubmitsRacingDestructionDrainOrReject) {
-  // Producers hammer Submit while the pool is torn down mid-traffic. Every
+  // Producers hammer Submit while the pool shuts down mid-traffic. Every
   // future must resolve: either the task ran (enqueued before shutdown) or
   // it reports broken_promise (rejected) — never a hang, never a crash.
+  // The producers stop and join while the pool is still alive; only then
+  // does its destructor run.
   std::atomic<int> ran{0};
   std::atomic<bool> stop{false};
-  std::vector<std::thread> producers;
   std::mutex futures_mu;
   std::vector<std::future<void>> futures;
   {
     ThreadPool pool(2);
+    std::vector<std::thread> producers;
     for (int t = 0; t < 4; ++t) {
       producers.emplace_back([&]() {
         while (!stop.load()) {
@@ -217,10 +219,11 @@ TEST(ThreadPoolShutdownTest, SubmitsRacingDestructionDrainOrReject) {
       });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    // Destructor runs here while producers are still submitting.
+    pool.Shutdown();  // races the producers' Submits
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop = true;
+    for (auto& t : producers) t.join();
   }
-  stop = true;
-  for (auto& t : producers) t.join();
 
   int executed = 0;
   int rejected = 0;

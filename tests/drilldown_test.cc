@@ -68,17 +68,15 @@ TEST(DrillDownTest, DrillDownConsistency) {
       Rec("vm-2", "r0", "az1", 0.4, 0.5, 0.6, 200),
       Rec("vm-3", "r1", "az2", 0.7, 0.8, 0.9, 300),
   };
-  std::vector<VmCdi> all;
-  for (const auto& r : records) all.push_back(r.cdi);
-  const VmCdi global = AggregateVmCdi(all);
+  FleetCdiPartial all;
+  for (const auto& r : records) all.AddVm(r.cdi);
+  const VmCdi global = all.Finalize();
 
-  std::vector<VmCdi> group_cdis;
+  FleetCdiPartial groups;
   auto by_region = RunDrilldown(records, {.dimensions = {"region"}});
   ASSERT_TRUE(by_region.ok());
-  for (const DrilldownGroup& g : by_region->groups) {
-    group_cdis.push_back(g.cdi);
-  }
-  const VmCdi regrouped = AggregateVmCdi(group_cdis);
+  for (const DrilldownGroup& g : by_region->groups) groups.AddVm(g.cdi);
+  const VmCdi regrouped = groups.Finalize();
   EXPECT_NEAR(global.unavailability, regrouped.unavailability, 1e-12);
   EXPECT_NEAR(global.performance, regrouped.performance, 1e-12);
   EXPECT_NEAR(global.control_plane, regrouped.control_plane, 1e-12);

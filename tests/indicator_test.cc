@@ -18,7 +18,7 @@ WeightedEvent Ev(const char* start, const char* end, double w,
 
 TEST(ComputeCdiTest, NoEventsIsZero) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  EXPECT_DOUBLE_EQ(ComputeCdi({}, day).value(), 0.0);
+  EXPECT_DOUBLE_EQ(ComputeCdi(std::vector<WeightedEvent>{}, day).value(), 0.0);
 }
 
 TEST(ComputeCdiTest, SingleEventRatio) {
@@ -108,7 +108,9 @@ TEST(ComputeCdiTest, FullCoverageAtWeightOneIsOne) {
 
 TEST(ComputeCdiTest, ValidationErrors) {
   const Interval empty(T("2024-01-01 10:00"), T("2024-01-01 10:00"));
-  EXPECT_TRUE(ComputeCdi({}, empty).status().IsInvalidArgument());
+  EXPECT_TRUE(ComputeCdi(std::vector<WeightedEvent>{}, empty)
+                  .status()
+                  .IsInvalidArgument());
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
   EXPECT_TRUE(
       ComputeCdi({Ev("2024-01-01 01:00", "2024-01-01 02:00", -0.1)}, day)

@@ -1,24 +1,23 @@
 // Property tests for the mergeable partials the shard gather rests on.
 //
-// Two different guarantees are pinned, deliberately separately:
+// Every guarantee here is exact (EXPECT_EQ on every double):
+//  * FleetCdiPartial sums each term T_i * Q_i into an integer
+//    superaccumulator, so its merge is associative, commutative and
+//    identity-respecting, and Remove retracts exactly — any shard split,
+//    permutation or add/remove history of the same terms finalizes to the
+//    same bits, across magnitudes from subnormal to 1e300, across the lazy
+//    carry pass, and with non-finite terms. The fuzz cases randomize shard
+//    splits exactly the way a ShardCoordinator would.
 //  * UnavailabilityPartial is all-integer (episode count + two millisecond
-//    durations), so its merge is EXACTLY associative, commutative and
-//    identity-respecting — any shard split of the fleet produces the same
-//    bits. FromRaw round-trips it across a wire encoding.
-//  * FleetCdiPartial sums doubles, so its merge is commutative but only
-//    approximately associative (FP addition reorders differ in the last
-//    ulp). That is precisely why topologies cannot just merge partials and
-//    expect bit-identity — and why CanonicalCdiFold exists: it re-sorts
-//    terms by vm_id and left-folds, making the result bit-identical under
-//    ANY partition and permutation of the fleet. The fuzz cases here
-//    randomize shard splits exactly the way a ShardCoordinator would.
+//    durations), so the same holds for it, and FromRaw round-trips it
+//    across a wire encoding.
 //  * DailyCdiResultBuilder, the one assembler every topology feeds, merges
 //    partial results into the same bits and counters as one pass over
 //    all VMs, however the VMs are split and whatever the merge order.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -38,6 +37,22 @@ struct Term {
   VmCdi cdi;
 };
 
+/// A CDI value anywhere from subnormal to 1e300: a fold that depended on
+/// grouping would differ in far more than the last ulp.
+double WideValue(Rng& rng) {
+  switch (rng.UniformInt(0, 3)) {
+    case 0:
+      return rng.NextDouble() * 1e-310;  // subnormal
+    case 1:
+      return rng.NextDouble() * 1e300;
+    case 2:
+      return rng.NextDouble() *
+             std::pow(10.0, static_cast<double>(rng.UniformInt(-300, 300)));
+    default:
+      return rng.NextDouble();
+  }
+}
+
 std::vector<Term> RandomFleet(Rng& rng) {
   const int n = static_cast<int>(rng.UniformInt(1, 40));
   std::vector<Term> fleet;
@@ -45,11 +60,8 @@ std::vector<Term> RandomFleet(Rng& rng) {
   for (int i = 0; i < n; ++i) {
     Term t;
     t.vm_id = "vm-" + std::to_string(i);
-    // Spread magnitudes widely so FP non-associativity would actually bite
-    // if the fold were order-sensitive.
-    t.cdi.unavailability =
-        rng.NextDouble() * (rng.Bernoulli(0.3) ? 1e-9 : 1.0);
-    t.cdi.performance = rng.NextDouble() * (rng.Bernoulli(0.3) ? 1e6 : 1.0);
+    t.cdi.unavailability = WideValue(rng);
+    t.cdi.performance = WideValue(rng);
     t.cdi.control_plane = rng.NextDouble();
     t.cdi.service_time =
         Duration::Minutes(rng.UniformInt(1, 24 * 60));
@@ -63,11 +75,7 @@ std::vector<Term> RandomFleet(Rng& rng) {
 std::vector<std::vector<Term>> RandomSplit(const std::vector<Term>& fleet,
                                            size_t shards, Rng& rng) {
   std::vector<Term> shuffled = fleet;
-  for (size_t i = shuffled.size(); i > 1; --i) {
-    std::swap(shuffled[i - 1],
-              shuffled[static_cast<size_t>(
-                  rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
-  }
+  rng.Shuffle(shuffled);
   std::vector<std::vector<Term>> parts(shards);
   for (const Term& t : shuffled) {
     parts[static_cast<size_t>(rng.UniformInt(
@@ -76,138 +84,241 @@ std::vector<std::vector<Term>> RandomSplit(const std::vector<Term>& fleet,
   return parts;
 }
 
-VmCdi CanonicalOver(const std::vector<Term>& terms) {
-  CanonicalCdiFold fold;
-  for (const Term& t : terms) fold.Add(t.vm_id, t.cdi);
-  return fold.Finalize();
+FleetCdiPartial FoldOf(const std::vector<Term>& terms) {
+  FleetCdiPartial fold;
+  for (const Term& t : terms) fold.AddVm(t.cdi);
+  return fold;
 }
 
-// --- CanonicalCdiFold: bit-identical under any partition + permutation ----
+void ExpectSameBits(const VmCdi& want, const VmCdi& got,
+                    const std::string& what) {
+  EXPECT_EQ(want.unavailability, got.unavailability) << what;
+  EXPECT_EQ(want.performance, got.performance) << what;
+  EXPECT_EQ(want.control_plane, got.control_plane) << what;
+  EXPECT_EQ(want.service_time, got.service_time) << what;
+}
+
+// --- FleetCdiPartial: exactly associative, commutative, retractable -------
+
+TEST(FleetCdiPartialMergeTest, IdentityElement) {
+  const FleetCdiPartial empty;
+  EXPECT_TRUE(empty.empty());
+  ExpectSameBits(VmCdi{}, empty.Finalize(), "empty fold");
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed + 10);
+    const FleetCdiPartial a = FoldOf(RandomFleet(rng));
+    FleetCdiPartial left = a;
+    left.Merge(FleetCdiPartial());  // a * e == a
+    FleetCdiPartial right;
+    right.Merge(a);  // e * a == a
+    const std::string what = std::to_string(seed);
+    ExpectSameBits(a.Finalize(), left.Finalize(), "a*e " + what);
+    ExpectSameBits(a.Finalize(), right.Finalize(), "e*a " + what);
+  }
+}
+
+TEST(FleetCdiPartialMergeTest, CommutativeExactly) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const auto parts = RandomSplit(RandomFleet(rng), 2, rng);
+    const FleetCdiPartial a = FoldOf(parts[0]), b = FoldOf(parts[1]);
+    FleetCdiPartial ab = a, ba = b;
+    ab.Merge(b);
+    ba.Merge(a);
+    ExpectSameBits(ab.Finalize(), ba.Finalize(), std::to_string(seed));
+  }
+}
+
+TEST(FleetCdiPartialMergeTest, AssociativeExactly) {
+  // (a*b)*c == a*(b*c) == one pass over the union in another order, bit
+  // for bit: the merge is integer addition.
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed + 100);
+    const std::vector<Term> fleet = RandomFleet(rng);
+    const auto parts = RandomSplit(fleet, 3, rng);
+    const FleetCdiPartial a = FoldOf(parts[0]), b = FoldOf(parts[1]),
+                          c = FoldOf(parts[2]);
+    FleetCdiPartial ab_c = a;
+    ab_c.Merge(b);
+    ab_c.Merge(c);
+    FleetCdiPartial bc = b;
+    bc.Merge(c);
+    FleetCdiPartial a_bc = a;
+    a_bc.Merge(bc);
+    const std::string what = std::to_string(seed);
+    ExpectSameBits(ab_c.Finalize(), a_bc.Finalize(), what);
+    ExpectSameBits(FoldOf(fleet).Finalize(), a_bc.Finalize(), what);
+  }
+}
+
+TEST(FleetCdiPartialMergeTest, RetractionIsExact) {
+  // The streaming revision path: provisional terms arrive interleaved with
+  // the real ones and are retracted, some at once and the rest at the end
+  // in another order. What is left is exactly the real ones' fold.
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed + 200);
+    const std::vector<Term> fleet = RandomFleet(rng);
+    const std::vector<Term> provisional = RandomFleet(rng);
+    std::vector<std::pair<const Term*, bool>> arrivals;
+    for (const Term& t : fleet) arrivals.emplace_back(&t, false);
+    for (const Term& t : provisional) arrivals.emplace_back(&t, true);
+    rng.Shuffle(arrivals);
+    FleetCdiPartial churn;
+    std::vector<const Term*> pending;
+    for (const auto& [t, is_provisional] : arrivals) {
+      churn.AddVm(t->cdi);
+      if (!is_provisional) continue;
+      if (rng.Bernoulli(0.5)) {
+        churn.RemoveVm(t->cdi);
+      } else {
+        pending.push_back(t);
+      }
+    }
+    rng.Shuffle(pending);
+    for (const Term* t : pending) churn.RemoveVm(t->cdi);
+    const std::string what = std::to_string(seed);
+    ExpectSameBits(FoldOf(fleet).Finalize(), churn.Finalize(), what);
+
+    for (const Term& t : fleet) churn.RemoveVm(t.cdi);
+    EXPECT_TRUE(churn.empty()) << what;
+    ExpectSameBits(VmCdi{}, churn.Finalize(), what + " emptied");
+  }
+}
+
+TEST(CdiAccumulatorExactTest, RoundsTheExactSumOnce) {
+  const Duration ms = Duration::Millis(1);
+  // Cancellation: a double sum in this order loses the 3 to 1e300.
+  CdiAccumulator cancel;
+  cancel.Add(ms, 1e300);
+  cancel.Add(ms, 3.0);
+  cancel.Add(ms, -1e300);
+  EXPECT_EQ(cancel.Value(), 1.0);
+
+  // Two half-ulps of 1.0: a left fold rounds each away, the exact sum
+  // keeps them.
+  CdiAccumulator halves;
+  halves.Add(ms, 1.0);
+  halves.Add(ms, 0x1p-53);
+  halves.Add(ms, 0x1p-53);
+  EXPECT_EQ(halves.Value(), (1.0 + 0x1p-52) / 3.0);
+
+  // Subnormal terms sum exactly.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  CdiAccumulator subnormal;
+  subnormal.Add(ms, tiny);
+  subnormal.Add(ms, 3 * tiny);
+  EXPECT_EQ(subnormal.Value(), 2 * tiny);
+
+  // The top digits: 2 * DBL_MAX overflows, and retracting one term brings
+  // the exact sum back into range.
+  const double max = std::numeric_limits<double>::max();
+  CdiAccumulator big;
+  big.Add(ms, max);
+  big.Add(ms, max);
+  EXPECT_EQ(big.Value(), std::numeric_limits<double>::infinity());
+  big.Remove(ms, max);
+  EXPECT_EQ(big.Value(), max);
+  big.Remove(ms, max);
+  EXPECT_EQ(big.Value(), 0.0);
+}
+
+TEST(CdiAccumulatorExactTest, ExactAcrossCarryPasses) {
+  // n equal terms 0.1 * 1 ms: the exact sum rounded once is the one
+  // correctly rounded product n * 0.1 — whatever the carry timing, split
+  // or merge order.
+  const int64_t n = 3 * CdiAccumulator::kCarryInterval + 17;
+  const double want = (static_cast<double>(n) * 0.1) / static_cast<double>(n);
+  CdiAccumulator whole;
+  CdiAccumulator parts[3];
+  for (int64_t i = 0; i < n; ++i) {
+    whole.Add(Duration::Millis(1), 0.1);
+    parts[i % 3].Add(Duration::Millis(1), 0.1);
+  }
+  EXPECT_EQ(whole.Value(), want);
+  CdiAccumulator merged = parts[2];
+  merged.Merge(parts[0]);
+  merged.Merge(parts[1]);
+  EXPECT_EQ(merged.Value(), want);
+  EXPECT_EQ(merged.total_service_time(), Duration::Millis(n));
+
+  // Random wide-magnitude terms across several carry passes: every split
+  // and merge order agrees with the one-pass fold.
+  Rng rng(5);
+  std::vector<VmCdi> terms(2 * CdiAccumulator::kCarryInterval + 5);
+  for (VmCdi& t : terms) {
+    t.unavailability = WideValue(rng);
+    t.performance = WideValue(rng);
+    t.service_time = Duration::Millis(rng.UniformInt(1, 86'400'000));
+  }
+  FleetCdiPartial one_pass;
+  for (const VmCdi& t : terms) one_pass.AddVm(t);
+  rng.Shuffle(terms);
+  std::vector<FleetCdiPartial> shards(5);
+  for (const VmCdi& t : terms) {
+    shards[static_cast<size_t>(rng.UniformInt(0, 4))].AddVm(t);
+  }
+  FleetCdiPartial gathered;
+  for (auto it = shards.rbegin(); it != shards.rend(); ++it) {
+    gathered.Merge(*it);
+  }
+  ExpectSameBits(one_pass.Finalize(), gathered.Finalize(), "wide");
+}
+
+TEST(CdiAccumulatorExactTest, NonFiniteTermsAreCountedNotIndexed) {
+  // Doubles decoded off the shard wire can be anything. A non-finite term
+  // makes the value non-finite, as a double sum would, and retracting it
+  // restores the finite value exactly.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Duration ms = Duration::Millis(1);
+  CdiAccumulator finite;
+  finite.Add(ms, 0.25);
+  finite.Add(ms, 0.5);
+
+  CdiAccumulator acc = finite;
+  acc.Add(ms, inf);
+  EXPECT_EQ(acc.Value(), inf);
+  acc.Add(ms, -inf);
+  EXPECT_TRUE(std::isnan(acc.Value()));
+  acc.Remove(ms, inf);
+  EXPECT_EQ(acc.Value(), -inf);
+  acc.Remove(ms, -inf);
+  EXPECT_EQ(acc.Value(), finite.Value());
+
+  CdiAccumulator with_nan = finite;
+  with_nan.Add(ms, nan);
+  EXPECT_TRUE(std::isnan(with_nan.Value()));
+  CdiAccumulator merged;
+  merged.Merge(with_nan);
+  EXPECT_TRUE(std::isnan(merged.Value()));
+  merged.Remove(ms, nan);
+  EXPECT_EQ(merged.Value(), finite.Value());
+
+  // A finite value whose product with its service time overflows is an
+  // infinite term too, exactly as the double product is.
+  CdiAccumulator overflow;
+  overflow.Add(Duration::Days(1), std::numeric_limits<double>::max());
+  EXPECT_EQ(overflow.Value(), inf);
+}
+
+// --- CanonicalCdiFold: the forwarding shell --------------------------------
 
 TEST(CanonicalCdiFoldTest, BitIdenticalUnderAnyPartitionAndPermutation) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     Rng rng(seed);
     const std::vector<Term> fleet = RandomFleet(rng);
-    const VmCdi want = CanonicalOver(fleet);
+    const VmCdi want = FoldOf(fleet).Finalize();
     for (size_t shards : {1u, 2u, 3u, 5u, 8u}) {
       // Rows travel shard-by-shard in arbitrary order; the coordinator
       // feeds the concatenation to one fold.
-      const auto parts = RandomSplit(fleet, shards, rng);
       CanonicalCdiFold fold;
-      for (const auto& part : parts) {
+      for (const auto& part : RandomSplit(fleet, shards, rng)) {
         for (const Term& t : part) fold.Add(t.vm_id, t.cdi);
       }
-      const VmCdi got = fold.Finalize();
-      EXPECT_EQ(want.unavailability, got.unavailability)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(want.performance, got.performance)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(want.control_plane, got.control_plane)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(want.service_time, got.service_time)
-          << "seed " << seed << " shards " << shards;
+      ExpectSameBits(want, fold.Finalize(),
+                     "seed " + std::to_string(seed) + " shards " +
+                         std::to_string(shards));
     }
-  }
-}
-
-TEST(CanonicalCdiFoldTest, EmptyFoldFinalizesToZero) {
-  CanonicalCdiFold fold;
-  EXPECT_TRUE(fold.empty());
-  const VmCdi zero = fold.Finalize();
-  EXPECT_EQ(zero.unavailability, 0.0);
-  EXPECT_EQ(zero.performance, 0.0);
-  EXPECT_EQ(zero.control_plane, 0.0);
-  EXPECT_TRUE(zero.service_time.IsZero());
-}
-
-TEST(CanonicalCdiFoldTest, MatchesDirectFleetPartialOnSortedInput) {
-  // On already-ascending input the canonical fold IS the plain left fold.
-  Rng rng(7);
-  std::vector<Term> fleet = RandomFleet(rng);
-  std::sort(fleet.begin(), fleet.end(),
-            [](const Term& a, const Term& b) { return a.vm_id < b.vm_id; });
-  FleetCdiPartial plain;
-  for (const Term& t : fleet) plain.AddVm(t.cdi);
-  const VmCdi want = plain.Finalize();
-  const VmCdi got = CanonicalOver(fleet);
-  EXPECT_EQ(want.unavailability, got.unavailability);
-  EXPECT_EQ(want.performance, got.performance);
-  EXPECT_EQ(want.control_plane, got.control_plane);
-  EXPECT_EQ(want.service_time, got.service_time);
-}
-
-// --- FleetCdiPartial: commutative, associative to FP tolerance, identity --
-
-TEST(FleetCdiPartialMergeTest, IdentityElement) {
-  Rng rng(11);
-  const std::vector<Term> fleet = RandomFleet(rng);
-  FleetCdiPartial a;
-  for (const Term& t : fleet) a.AddVm(t.cdi);
-  FleetCdiPartial left = a, empty1;
-  left.Merge(empty1);  // a * e == a
-  FleetCdiPartial empty2;
-  empty2.Merge(a);  // e * a == a
-  const VmCdi want = a.Finalize();
-  EXPECT_EQ(want.unavailability, left.Finalize().unavailability);
-  EXPECT_EQ(want.unavailability, empty2.Finalize().unavailability);
-  EXPECT_EQ(want.performance, empty2.Finalize().performance);
-  EXPECT_EQ(want.service_time, empty2.Finalize().service_time);
-}
-
-TEST(FleetCdiPartialMergeTest, CommutativeExactly) {
-  // a + b == b + a holds bitwise for IEEE doubles.
-  for (uint64_t seed = 1; seed <= 30; ++seed) {
-    Rng rng(seed);
-    const std::vector<Term> fleet = RandomFleet(rng);
-    const auto parts = RandomSplit(fleet, 2, rng);
-    FleetCdiPartial a, b;
-    for (const Term& t : parts[0]) a.AddVm(t.cdi);
-    for (const Term& t : parts[1]) b.AddVm(t.cdi);
-    FleetCdiPartial ab = a, ba = b;
-    ab.Merge(b);
-    ba.Merge(a);
-    EXPECT_EQ(ab.Finalize().unavailability, ba.Finalize().unavailability)
-        << seed;
-    EXPECT_EQ(ab.Finalize().performance, ba.Finalize().performance) << seed;
-    EXPECT_EQ(ab.Finalize().control_plane, ba.Finalize().control_plane)
-        << seed;
-    EXPECT_EQ(ab.Finalize().service_time, ba.Finalize().service_time)
-        << seed;
-  }
-}
-
-TEST(FleetCdiPartialMergeTest, AssociativeToFpTolerance) {
-  // (a*b)*c vs a*(b*c): equal as real numbers, so within relative FP
-  // tolerance — but NOT guaranteed bitwise, which is the entire reason the
-  // gather uses CanonicalCdiFold instead of merging shard partials.
-  for (uint64_t seed = 1; seed <= 30; ++seed) {
-    Rng rng(seed + 100);
-    const std::vector<Term> fleet = RandomFleet(rng);
-    const auto parts = RandomSplit(fleet, 3, rng);
-    FleetCdiPartial a, b, c;
-    for (const Term& t : parts[0]) a.AddVm(t.cdi);
-    for (const Term& t : parts[1]) b.AddVm(t.cdi);
-    for (const Term& t : parts[2]) c.AddVm(t.cdi);
-    FleetCdiPartial ab = a;
-    ab.Merge(b);
-    ab.Merge(c);  // (a*b)*c
-    FleetCdiPartial bc = b;
-    bc.Merge(c);
-    FleetCdiPartial a_bc = a;
-    a_bc.Merge(bc);  // a*(b*c)
-    const VmCdi left = ab.Finalize();
-    const VmCdi right = a_bc.Finalize();
-    const double tol = 1e-12;
-    EXPECT_NEAR(left.unavailability, right.unavailability,
-                tol * (1.0 + std::abs(left.unavailability)))
-        << seed;
-    EXPECT_NEAR(left.performance, right.performance,
-                tol * (1.0 + std::abs(left.performance)))
-        << seed;
-    EXPECT_NEAR(left.control_plane, right.control_plane,
-                tol * (1.0 + std::abs(left.control_plane)))
-        << seed;
-    EXPECT_EQ(left.service_time, right.service_time) << seed;
   }
 }
 

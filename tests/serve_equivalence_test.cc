@@ -27,7 +27,6 @@ using serve::CdiQueryResponse;
 using serve::CdiQueryService;
 using serve::CdiQueryServiceOptions;
 using serve::Consistency;
-using serve::FleetFidelity;
 using testutil::MakeScenario;
 using testutil::Scenario;
 using testutil::ShardEquivalenceHarness;
@@ -134,12 +133,6 @@ std::vector<CdiQuery> QueryBattery() {
     CdiQuery q;  // legacy Snapshot() re-route shape
     q.consistency = Consistency::kFresh;
     q.include_detail = true;
-    battery.push_back(q);
-  }
-  {
-    CdiQuery q;  // legacy FleetCdi() re-route shape
-    q.consistency = Consistency::kCached;
-    q.fleet_fidelity = FleetFidelity::kPartialMerge;
     battery.push_back(q);
   }
   return battery;

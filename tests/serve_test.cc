@@ -51,10 +51,6 @@ TEST(CanonicalQueryKeyTest, DistinguishesAnswerShapingFields) {
   CdiQuery with_detail = base;
   with_detail.include_detail = true;
   EXPECT_NE(CanonicalQueryKey(base), CanonicalQueryKey(with_detail));
-
-  CdiQuery partial = base;
-  partial.fleet_fidelity = FleetFidelity::kPartialMerge;
-  EXPECT_NE(CanonicalQueryKey(base), CanonicalQueryKey(partial));
 }
 
 TEST(CanonicalQueryKeyTest, IgnoresEffortAndFreshnessFields) {
@@ -476,7 +472,7 @@ TEST(HeatmapTest, JsonIsStrictAndComplete) {
 // CdiQueryService over a fake source
 
 /// A CdiReadSource the test controls completely: settable watermark, a
-/// canned result, pull/quick counters, and an optional gate that blocks
+/// canned result, a pull counter, and an optional gate that blocks
 /// Pull until the test opens it (for QueryServer overload scenarios).
 class FakeSource : public CdiReadSource {
  public:
@@ -503,7 +499,6 @@ class FakeSource : public CdiReadSource {
                       row("vm-c", "r1", "z0", 1.0 / 7.0),
                       row("vm-d", "r1", "z1", 0.5)};
     result_.vms_evaluated = result_.per_vm.size();
-    quick_fleet_.performance = 99.5;  // distinct from the canonical fold
   }
 
   std::string_view name() const override { return "fake"; }
@@ -525,9 +520,7 @@ class FakeSource : public CdiReadSource {
   }
 
   StatusOr<VmCdi> QuickFleetCdi() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++quick_calls_;
-    return quick_fleet_;
+    return Status::Internal("the service must answer from Pull");
   }
 
   void AdvanceWatermark(Duration by) {
@@ -558,17 +551,9 @@ class FakeSource : public CdiReadSource {
     std::lock_guard<std::mutex> lock(mu_);
     return pulls_;
   }
-  size_t quick_calls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return quick_calls_;
-  }
   DailyCdiResult result() const {
     std::lock_guard<std::mutex> lock(mu_);
     return result_;
-  }
-  VmCdi quick_fleet() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return quick_fleet_;
   }
 
  private:
@@ -578,10 +563,8 @@ class FakeSource : public CdiReadSource {
   bool gate_closed_ = false;
   size_t pulls_ = 0;
   size_t pulls_started_ = 0;
-  size_t quick_calls_ = 0;
   TimePoint wm_;
   DailyCdiResult result_;
-  VmCdi quick_fleet_;
 };
 
 TEST(CdiQueryServiceTest, RejectsMalformedQueries) {
@@ -684,22 +667,23 @@ TEST(CdiQueryServiceTest, StaleOkServesFromCubeWithinBound) {
   EXPECT_EQ(source.pulls(), 2u) << "lag beyond the bound must re-pull";
 }
 
-TEST(CdiQueryServiceTest, PartialMergeKeepsQuickPathBits) {
+TEST(CdiQueryServiceTest, FleetOnlyQueryAnswersFromThePull) {
+  // One fleet value per source: a fleet-only query returns the pulled
+  // result's fleet, the same bits as the engines' FleetCdi(), and never
+  // takes a second path (the fake's QuickFleetCdi fails).
   FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.svc_quick"});
+  CdiQueryService service(&source, {.metric_prefix = "serve_test.svc_fleet"});
   CdiQuery q;
   q.consistency = Consistency::kFresh;
-  q.fleet_fidelity = FleetFidelity::kPartialMerge;
-  auto response = service.Query(q);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->fleet.performance, source.quick_fleet().performance);
-  EXPECT_EQ(source.quick_calls(), 1u);
-
-  CdiQuery canonical;
-  canonical.consistency = Consistency::kFresh;
-  auto canon = service.Query(canonical);
-  ASSERT_TRUE(canon.ok());
-  EXPECT_EQ(canon->fleet.performance, source.result().fleet.performance);
+  auto fresh = service.Query(q);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->fleet.performance, source.result().fleet.performance);
+  q.consistency = Consistency::kCached;
+  auto cached = service.Query(q);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(cached->served_from_cache);
+  EXPECT_EQ(cached->fleet.performance, fresh->fleet.performance);
+  EXPECT_EQ(source.pulls(), 1u);
 }
 
 TEST(CdiQueryServiceTest, ExpiredDeadlineIsRejectedBeforeServing) {

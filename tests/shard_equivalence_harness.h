@@ -1,10 +1,9 @@
 // Shared fixture logic for the sharded-equivalence differential suites: a
 // ShardCoordinator over N workers — whatever the transport — must produce
 // BIT-IDENTICAL results to a single-node engine fed the same registrations
-// and events in the same order. The fleet CDI folds through the canonical
-// ascending-vm_id fold on every topology and the baseline merges as raw
-// integer sums, so every comparison is EXPECT_EQ on doubles, never
-// tolerance-based.
+// and events in the same order. The fleet CDI fold is exact and order-free
+// on every topology and the baseline merges as raw integer sums, so every
+// comparison is EXPECT_EQ on doubles, never tolerance-based.
 //
 // shard_equivalence_test.cc runs this over the in-process transport;
 // shard_socket_equivalence_test.cc runs it over real Unix-domain sockets

@@ -4,9 +4,10 @@
 // service windows, mid-day churn (VMs registered late or re-registered with
 // a changed window), unknown/duplicate/out-of-window events, stateful
 // add/del streams and logged-duration events — feeds the identical event
-// set to both engines, and requires per-VM and fleet CDI-U/P/C to agree to
-// within 1e-9 (they agree exactly in practice: the per-VM math is the same
-// code, and period resolution is arrival-order invariant).
+// set to both engines, and requires per-VM CDI-U/P/C, the fleet CDI — both
+// the snapshot's and the engine's FleetCdi() shard-partial merge — and the
+// baselines to agree bit for bit: the per-VM math is the same code, period
+// resolution is arrival-order invariant, and the fleet fold is exact.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -54,8 +55,11 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     return std::move(result).value();
   }
 
+  /// The final snapshot, and the engine's FleetCdi() when `fleet_cdi` is
+  /// non-null.
   DailyCdiResult RunStream(const Scenario& sc, uint64_t seed, ThreadPool* pool,
-                           bool checkpoint_midway) {
+                           bool checkpoint_midway,
+                           VmCdi* fleet_cdi = nullptr) {
     StreamingCdiOptions opts;
     opts.window = sc.day;
     opts.pool = pool;
@@ -106,6 +110,11 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
         }
       }
     }
+    if (fleet_cdi != nullptr) {
+      auto fleet = engine.FleetCdi();
+      EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+      *fleet_cdi = fleet.value_or(VmCdi{});
+    }
     auto snap = engine.Snapshot();
     EXPECT_TRUE(snap.ok()) << snap.status().ToString();
     return std::move(snap).value();
@@ -113,9 +122,9 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 
   static void ExpectSameCdi(const VmCdi& a, const VmCdi& b,
                             const std::string& what) {
-    EXPECT_NEAR(a.unavailability, b.unavailability, 1e-9) << what;
-    EXPECT_NEAR(a.performance, b.performance, 1e-9) << what;
-    EXPECT_NEAR(a.control_plane, b.control_plane, 1e-9) << what;
+    EXPECT_EQ(a.unavailability, b.unavailability) << what;
+    EXPECT_EQ(a.performance, b.performance) << what;
+    EXPECT_EQ(a.control_plane, b.control_plane) << what;
     EXPECT_EQ(a.service_time, b.service_time) << what;
   }
 
@@ -128,11 +137,14 @@ TEST_P(EquivalenceTest, StreamSnapshotMatchesBatchJob) {
   ThreadPool pool(4);
   const DailyCdiResult batch = RunBatch(sc, &pool);
   // Every 4th seed also exercises checkpoint/restore mid-stream.
+  VmCdi engine_fleet;
   const DailyCdiResult stream =
       RunStream(sc, GetParam(), &pool,
-                /*checkpoint_midway=*/GetParam() % 4 == 0);
+                /*checkpoint_midway=*/GetParam() % 4 == 0, &engine_fleet);
 
   ExpectSameCdi(batch.fleet, stream.fleet, "fleet");
+  // The engine's shard-partial merge is the same exact fold.
+  ExpectSameCdi(stream.fleet, engine_fleet, "FleetCdi() vs snapshot");
 
   // Per-VM rows match one-to-one (batch order is input order, stream order
   // is sorted; compare by id).
@@ -150,10 +162,10 @@ TEST_P(EquivalenceTest, StreamSnapshotMatchesBatchJob) {
   EXPECT_EQ(batch.vms_skipped, stream.vms_skipped);
   EXPECT_EQ(batch.vms_failed, stream.vms_failed);
   EXPECT_EQ(batch.fleet_service_time, stream.fleet_service_time);
-  EXPECT_NEAR(batch.fleet_baseline.downtime_percentage,
-              stream.fleet_baseline.downtime_percentage, 1e-9);
-  EXPECT_NEAR(batch.fleet_baseline.annual_interruption_rate,
-              stream.fleet_baseline.annual_interruption_rate, 1e-9);
+  EXPECT_EQ(batch.fleet_baseline.downtime_percentage,
+            stream.fleet_baseline.downtime_percentage);
+  EXPECT_EQ(batch.fleet_baseline.annual_interruption_rate,
+            stream.fleet_baseline.annual_interruption_rate);
   EXPECT_EQ(batch.resolve_stats.resolved, stream.resolve_stats.resolved);
   EXPECT_EQ(batch.resolve_stats.unknown_dropped,
             stream.resolve_stats.unknown_dropped);
@@ -182,6 +194,65 @@ TEST_P(EquivalenceTest, StreamSnapshotMatchesBatchJob) {
   }
 }
 
+// A wider fleet: eight scenarios side by side (VM ids and event targets
+// prefixed per scenario), ~120 VMs and many of them damaged, spread over
+// the engine's hash shards. Event times are jittered off the minute grid
+// and the weights are not dyadic (7 ticket levels, alphas 0.3/0.7), so
+// the per-VM terms T_i * Q_i use their full mantissas instead of summing
+// exactly as near-integers: a grouping-sensitive fold shows in the last
+// bits, while the exact fold gives FleetCdi(), the snapshot and the batch
+// job the same bits.
+Scenario WideScenario(uint64_t seed) {
+  Rng rng(seed);
+  Scenario wide;
+  for (uint64_t k = 0; k < 8; ++k) {
+    Scenario sc = MakeScenario(seed * 8 + k);
+    const std::string prefix = "f" + std::to_string(k) + "-";
+    wide.day = sc.day;
+    for (VmServiceInfo& vm : sc.vms) {
+      vm.vm_id = prefix + vm.vm_id;
+      wide.vms.push_back(std::move(vm));
+    }
+    for (auto& [vm_id, info] : sc.initial_override) {
+      info.vm_id = prefix + info.vm_id;
+      wide.initial_override.emplace(prefix + vm_id, std::move(info));
+    }
+    for (const std::string& vm_id : sc.late_registered) {
+      wide.late_registered.push_back(prefix + vm_id);
+    }
+    for (RawEvent& ev : sc.arrivals) {
+      ev.target = prefix + ev.target;
+      ev.time += Duration::Millis(rng.UniformInt(0, 59'999));
+      wide.arrivals.push_back(std::move(ev));
+    }
+  }
+  rng.Shuffle(wide.arrivals);
+  return wide;
+}
+
+TEST_P(EquivalenceTest, WideFleetCdiMatchesSnapshotAndBatch) {
+  const Scenario sc = WideScenario(GetParam());
+  auto ticket = TicketRankModel::FromCounts(
+      {{"slow_io", 100}, {"packet_loss", 60}, {"vcpu_high", 40},
+       {"vm_start_failed", 20}},
+      7);
+  weights_.emplace(
+      EventWeightModel::Build(
+          std::move(ticket).value(),
+          {.ticket_levels = 7, .alpha_expert = 0.3, .alpha_ticket = 0.7})
+          .value());
+  ThreadPool pool(4);
+  const DailyCdiResult batch = RunBatch(sc, &pool);
+  VmCdi engine_fleet;
+  const DailyCdiResult stream =
+      RunStream(sc, GetParam(), &pool, /*checkpoint_midway=*/false,
+                &engine_fleet);
+  ASSERT_EQ(batch.vms_failed, 0u);
+  ASSERT_GT(batch.vms_evaluated, 48u);
+  ExpectSameCdi(batch.fleet, stream.fleet, "wide fleet");
+  ExpectSameCdi(stream.fleet, engine_fleet, "wide FleetCdi() vs snapshot");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
                          ::testing::Range<uint64_t>(1, 25));
 
@@ -202,8 +273,11 @@ void DoubleDeliveryStillMatchesBatch::TestBody() {
   sc.arrivals.reserve(original * 2);
   for (size_t i = 0; i < original; ++i) sc.arrivals.push_back(sc.arrivals[i]);
   const DailyCdiResult batch = RunBatch(sc, nullptr);
-  const DailyCdiResult stream = RunStream(sc, seed(), nullptr, false);
+  VmCdi engine_fleet;
+  const DailyCdiResult stream =
+      RunStream(sc, seed(), nullptr, false, &engine_fleet);
   ExpectSameCdi(batch.fleet, stream.fleet, "fleet under double delivery");
+  ExpectSameCdi(stream.fleet, engine_fleet, "FleetCdi() under double delivery");
 }
 
 }  // namespace

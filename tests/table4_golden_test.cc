@@ -89,21 +89,25 @@ TEST(Table4GoldenTest, FleetRowViaMergeablePartials) {
   right.AddVm(vm2);
   right.AddVm(vm3);
   left.Merge(right);
-  EXPECT_NEAR(left.Finalize().performance, kFleet, kTol);
+  // The exact sum rounds once, onto the closed form's double.
+  EXPECT_EQ(left.Finalize().performance, kFleet);
 
-  // Retract + re-add (the streaming revision path) is value-preserving.
+  // Retract + re-add (the streaming revision path) is exact.
   FleetCdiPartial churn;
   churn.AddVm(vm1);
   churn.AddVm(vm2);
   churn.AddVm(vm(0.9, 1000));  // wrong provisional value for VM3...
   churn.RemoveVm(vm(0.9, 1000));  // ...retracted on revision
   churn.AddVm(vm3);
-  EXPECT_NEAR(churn.Finalize().performance, kFleet, 1e-9);
+  EXPECT_EQ(churn.Finalize().performance, left.Finalize().performance);
 
-  // AggregateVmCdi (the batch entry point) agrees with the partial path.
-  const VmCdi direct = AggregateVmCdi({vm1, vm2, vm3});
-  EXPECT_NEAR(direct.performance, kFleet, kTol);
-  EXPECT_EQ(direct.service_time, Duration::Minutes(2500));
+  // One pass in another order (the batch job's) lands on the same bits.
+  FleetCdiPartial direct;
+  direct.AddVm(vm3);
+  direct.AddVm(vm1);
+  direct.AddVm(vm2);
+  EXPECT_EQ(direct.Finalize().performance, left.Finalize().performance);
+  EXPECT_EQ(direct.Finalize().service_time, Duration::Minutes(2500));
 }
 
 // The worked example under the sharded topology: the three VM rows are
@@ -156,8 +160,8 @@ TEST(Table4GoldenTest, ShardedGatherPinsWorkedExample) {
     fleets.push_back(std::move(builder).Finish().fleet);
   }
   for (const VmCdi& fleet : fleets) {
-    EXPECT_NEAR(fleet.performance, kFleet, kTol);
-    EXPECT_NEAR(fleet.unavailability, kFleet, kTol);
+    EXPECT_EQ(fleet.performance, kFleet);
+    EXPECT_EQ(fleet.unavailability, kFleet);
     EXPECT_EQ(fleet.service_time, Duration::Minutes(2500));
     // Bit-identical across shard splits, not merely within tolerance.
     EXPECT_EQ(fleet.performance, fleets[0].performance);
