@@ -224,13 +224,16 @@ cmake --build build-asan -j "$JOBS" \
   --target common_test cdi_test stream_test chaos_test storage_test \
            obs_test flow_test overload_test shard_test shard_socket_test \
            shard_socket_equivalence_test fleet_obs_test serve_test \
-           serve_equivalence_test
+           serve_equivalence_test alloc_regression_test
 
-echo "== asan+ubsan: thread pool + retry + CDI core + streaming engine =="
+echo "== asan+ubsan: thread pool + retry + Placement + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export ASAN_OPTIONS="detect_leaks=1"
-./build-asan/tests/common_test --gtest_filter='ThreadPool*:Retry*'
+./build-asan/tests/common_test --gtest_filter='ThreadPool*:Retry*:PlacementValue*'
 ./build-asan/tests/cdi_test
+# Result rows share one Placement per VM; the row-copy and per-VM
+# allocation budgets must hold, and any refcount misuse is an ASan failure.
+./build-asan/tests/alloc_regression_test
 ./build-asan/tests/stream_test
 
 echo "== asan+ubsan: chaos + crash-safe storage + observability =="

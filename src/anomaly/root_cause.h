@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/placement.h"
 #include "common/statusor.h"
 
 namespace cdibot {
@@ -12,7 +13,7 @@ namespace cdibot {
 /// One measured record with categorical dimensions (region, AZ, cluster,
 /// event name, ...) and a non-negative measure (e.g. damage minutes).
 struct DimensionedRecord {
-  std::map<std::string, std::string> dims;
+  Placement dims;
   double measure = 0.0;
 };
 

@@ -8,6 +8,7 @@
 
 #include "cdi/aggregate.h"
 #include "cdi/vm_cdi.h"
+#include "common/placement.h"
 #include "common/statusor.h"
 
 namespace cdibot {
@@ -56,7 +57,7 @@ struct DataQuality {
 /// deployment architecture, ...).
 struct VmCdiRecord {
   std::string vm_id;
-  std::map<std::string, std::string> dims;
+  Placement dims;
   VmCdi cdi;
   /// Integrity of the input this row was computed from.
   DataQuality quality;
@@ -73,7 +74,8 @@ struct EventCdiRecord {
   double damage_minutes = 0.0;
   /// The VM's service time (denominator for event-level CDI).
   Duration service_time;
-  std::map<std::string, std::string> dims;
+  /// The VM's placement, shared with its per-VM row.
+  Placement dims;
 };
 
 /// A drill-down request. It follows the `DailyCdiJob::Options` + `StatusOr`

@@ -9,6 +9,7 @@
 #include "cdi/baselines.h"
 #include "cdi/drilldown.h"
 #include "chaos/quarantine.h"
+#include "common/placement.h"
 #include "common/statusor.h"
 #include "common/thread_pool.h"
 #include "dataflow/table.h"
@@ -24,7 +25,8 @@ namespace cdibot {
 /// mid-day have partial windows).
 struct VmServiceInfo {
   std::string vm_id;
-  std::map<std::string, std::string> dims;
+  /// Built once per VM; every row derived from it shares this map.
+  Placement dims;
   Interval service_period;
 };
 

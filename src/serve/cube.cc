@@ -34,6 +34,32 @@ bool MatchesFilter(const VmCdiRecord& rec,
   return true;
 }
 
+using Membership = std::map<std::vector<std::string>, std::vector<uint32_t>>;
+
+/// Groups `rows` by `query`'s dimensions after its filter: each group's
+/// member indices, ascending (= fold order). Rows missing a dimension
+/// group under "" for it. `*filtered` receives the filter's reject count.
+Membership GroupMembers(const DrilldownQuery& query,
+                        const std::vector<VmCdiRecord>& rows,
+                        size_t* filtered) {
+  Membership membership;
+  *filtered = 0;
+  std::vector<std::string> values(query.dimensions.size());
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    const VmCdiRecord& rec = rows[i];
+    if (!MatchesFilter(rec, query.filter)) {
+      ++*filtered;
+      continue;
+    }
+    for (size_t d = 0; d < query.dimensions.size(); ++d) {
+      auto it = rec.dims.find(query.dimensions[d]);
+      values[d] = it == rec.dims.end() ? "" : it->second;
+    }
+    membership[values].push_back(i);
+  }
+  return membership;
+}
+
 }  // namespace
 
 DrilldownCube::DrilldownCube(const std::string& metric_prefix) {
@@ -58,31 +84,20 @@ std::string DrilldownCube::ViewKey(const DrilldownQuery& query) {
   return key;
 }
 
-void DrilldownCube::Refresh(std::vector<VmCdiRecord> rows,
+void DrilldownCube::Refresh(std::shared_ptr<const DailyCdiResult> detail,
                             TimePoint watermark) {
   // Re-validate every materialized view against the incoming rows while
-  // the outgoing ones are still addressable: a group whose member rows are
+  // the outgoing ones are still held: a group whose member rows are
   // bit-identical across the swap keeps its fold; everything else is
-  // marked dirty and re-folded lazily by the next Answer.
+  // marked dirty and re-folded lazily by the next Answer. The outgoing
+  // snapshot is released when `previous` goes out of scope.
+  const std::shared_ptr<const DailyCdiResult> previous = std::move(detail_);
+  detail_ = std::move(detail);
+  const std::vector<VmCdiRecord>& rows = detail_->per_vm;
   for (auto& [key, view] : views_) {
     (void)key;
-    std::map<std::vector<std::string>, std::vector<uint32_t>> membership;
-    size_t filtered = 0;
-    std::vector<std::string> values(view.query.dimensions.size());
-    for (uint32_t i = 0; i < rows.size(); ++i) {
-      const VmCdiRecord& rec = rows[i];
-      if (!MatchesFilter(rec, view.query.filter)) {
-        ++filtered;
-        continue;
-      }
-      for (size_t d = 0; d < view.query.dimensions.size(); ++d) {
-        auto it = rec.dims.find(view.query.dimensions[d]);
-        values[d] = it == rec.dims.end() ? "" : it->second;
-      }
-      membership[values].push_back(i);
-    }
-    view.records_filtered = filtered;
-
+    Membership membership =
+        GroupMembers(view.query, rows, &view.records_filtered);
     std::map<std::vector<std::string>, GroupState> next;
     for (auto& [group_values, members] : membership) {
       GroupState state;
@@ -92,7 +107,7 @@ void DrilldownCube::Refresh(std::vector<VmCdiRecord> rows,
                        old_it->second.members.size() == members.size();
       if (unchanged) {
         for (size_t k = 0; k < members.size(); ++k) {
-          if (!SameRecordBits(rows_[old_it->second.members[k]],
+          if (!SameRecordBits(previous->per_vm[old_it->second.members[k]],
                               rows[members[k]])) {
             unchanged = false;
             break;
@@ -111,11 +126,7 @@ void DrilldownCube::Refresh(std::vector<VmCdiRecord> rows,
     view.groups = std::move(next);
   }
 
-  rows_ = std::move(rows);
-  rows_quality_ = DataQuality{};
-  for (const VmCdiRecord& rec : rows_) rows_quality_.Merge(rec.quality);
   as_of_ = watermark;
-  loaded_ = true;
   ++stats_.refreshes;
   refresh_counter_->Increment();
 }
@@ -123,7 +134,7 @@ void DrilldownCube::Refresh(std::vector<VmCdiRecord> rows,
 void DrilldownCube::FoldGroup(const std::vector<std::string>& values,
                               GroupState& state) {
   DrilldownGroupFold fold;
-  for (uint32_t idx : state.members) fold.Add(rows_[idx]);
+  for (uint32_t idx : state.members) fold.Add(detail_->per_vm[idx]);
   state.folded = fold.Finish(values);
   state.dirty = false;
   ++stats_.groups_recomputed;
@@ -131,7 +142,7 @@ void DrilldownCube::FoldGroup(const std::vector<std::string>& values,
 }
 
 StatusOr<DrilldownResult> DrilldownCube::Answer(const DrilldownQuery& query) {
-  if (!loaded_) {
+  if (!loaded()) {
     return Status::FailedPrecondition("cube has no snapshot loaded");
   }
   CDIBOT_RETURN_IF_ERROR(ValidateDrilldownDimensions(query.dimensions));
@@ -142,15 +153,18 @@ StatusOr<DrilldownResult> DrilldownCube::Answer(const DrilldownQuery& query) {
     // First query of this (group-by, filter) shape: materialize the view.
     View view;
     view.query = query;
+    for (auto& [values, members] :
+         GroupMembers(query, detail_->per_vm, &view.records_filtered)) {
+      view.groups[values].members = std::move(members);
+    }
     it = views_.emplace(key, std::move(view)).first;
-    RevalidateView(it->second);
     stats_.views = views_.size();
     view_gauge_->Set(static_cast<double>(views_.size()));
   }
 
   View& view = it->second;
   DrilldownResult result;
-  result.records_scanned = rows_.size();
+  result.records_scanned = detail_->per_vm.size();
   result.records_filtered = view.records_filtered;
   result.groups.reserve(view.groups.size());
   for (auto& [values, state] : view.groups) {
@@ -160,24 +174,6 @@ StatusOr<DrilldownResult> DrilldownCube::Answer(const DrilldownQuery& query) {
   }
   ++stats_.answers;
   return result;
-}
-
-void DrilldownCube::RevalidateView(View& view) {
-  view.groups.clear();
-  view.records_filtered = 0;
-  std::vector<std::string> values(view.query.dimensions.size());
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    const VmCdiRecord& rec = rows_[i];
-    if (!MatchesFilter(rec, view.query.filter)) {
-      ++view.records_filtered;
-      continue;
-    }
-    for (size_t d = 0; d < view.query.dimensions.size(); ++d) {
-      auto it = rec.dims.find(view.query.dimensions[d]);
-      values[d] = it == rec.dims.end() ? "" : it->second;
-    }
-    view.groups[values].members.push_back(i);
-  }
 }
 
 }  // namespace cdibot::serve

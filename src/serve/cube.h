@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cdi/drilldown.h"
+#include "cdi/pipeline.h"
 #include "common/statusor.h"
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -45,23 +47,32 @@ class DrilldownCube {
 
   /// Replaces the cube's row set with a new snapshot's per_vm rows
   /// (assumed sorted by vm_id, as SnapshotImpl emits them) and
-  /// re-validates every materialized view against it. `watermark` is the
-  /// snapshot's source watermark, recorded as the cube's as-of point.
-  void Refresh(std::vector<VmCdiRecord> rows, TimePoint watermark);
+  /// re-validates every materialized view against it. The cube shares
+  /// `detail` (non-null) with whoever else holds it — the query service
+  /// hands the same result out as response detail — and keeps the
+  /// previous one alive only while the revalidation compares the two.
+  /// `watermark` is the snapshot's source watermark, recorded as the
+  /// cube's as-of point.
+  void Refresh(std::shared_ptr<const DailyCdiResult> detail,
+               TimePoint watermark);
 
   /// Answers a drill-down query from the materialized view, creating the
-  /// view on first use. Returns exactly what RunDrilldown(rows(), query)
-  /// would, bit for bit.
+  /// view on first use. Returns exactly what
+  /// RunDrilldown(detail()->per_vm, query) would, bit for bit.
   StatusOr<DrilldownResult> Answer(const DrilldownQuery& query);
 
-  const std::vector<VmCdiRecord>& rows() const { return rows_; }
+  /// The current snapshot (null before the first Refresh).
+  const std::shared_ptr<const DailyCdiResult>& detail() const {
+    return detail_;
+  }
   TimePoint as_of() const { return as_of_; }
-  bool loaded() const { return loaded_; }
+  bool loaded() const { return detail_ != nullptr; }
   CubeStats stats() const { return stats_; }
 
  private:
   struct GroupState {
-    /// Indices into rows_ of the group's members, ascending (= fold order).
+    /// Indices into detail_->per_vm of the group's members, ascending
+    /// (= fold order).
     std::vector<uint32_t> members;
     DrilldownGroup folded;
     /// False when Refresh found the membership bits unchanged.
@@ -75,18 +86,13 @@ class DrilldownCube {
     size_t records_filtered = 0;
   };
 
-  /// Rebuilds `view`'s membership from rows_, marking changed groups
-  /// dirty. Called on view creation and after every Refresh.
-  void RevalidateView(View& view);
   /// Folds one dirty group through DrilldownGroupFold, as RunDrilldown
   /// does.
   void FoldGroup(const std::vector<std::string>& values, GroupState& state);
   static std::string ViewKey(const DrilldownQuery& query);
 
-  std::vector<VmCdiRecord> rows_;
+  std::shared_ptr<const DailyCdiResult> detail_;
   TimePoint as_of_;
-  bool loaded_ = false;
-  DataQuality rows_quality_;
   std::map<std::string, View> views_;
   CubeStats stats_;
 

@@ -49,8 +49,7 @@ void AppendPlane(const HeatmapGrid& grid, const std::vector<double>& plane,
 
 StatusOr<HeatmapGrid> BuildHeatmap(
     const EventSpan& events, const EventCatalog& catalog,
-    const std::map<std::string, std::map<std::string, std::string>>&
-        dims_by_target,
+    const std::map<std::string, Placement>& dims_by_target,
     const HeatmapSpec& spec) {
   if (spec.window.length().millis() <= 0) {
     return Status::InvalidArgument("heatmap window must be non-empty");

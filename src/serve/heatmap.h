@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/placement.h"
 #include "common/statusor.h"
 #include "common/time.h"
 #include "event/catalog.h"
@@ -59,8 +60,7 @@ struct HeatmapGrid {
 /// clipped to it; events that do not intersect it contribute nothing.
 StatusOr<HeatmapGrid> BuildHeatmap(
     const EventSpan& events, const EventCatalog& catalog,
-    const std::map<std::string, std::map<std::string, std::string>>&
-        dims_by_target,
+    const std::map<std::string, Placement>& dims_by_target,
     const HeatmapSpec& spec);
 
 /// Renders the grid as a strict-JSON document (validated by

@@ -127,29 +127,22 @@ StatusOr<CdiQueryResponse> CdiQueryService::ComputeLocked(
     if (!pulled.ok()) return pulled.status();
     ++stats_.source_pulls;
     pull_counter_->Increment();
-    last_fleet_ = pulled->fleet;
-    last_baseline_ = pulled->fleet_baseline;
-    last_quality_ = pulled->quality;
-    last_deferred_ = pulled->vms_deferred;
-    auto detail = std::make_shared<DailyCdiResult>(std::move(*pulled));
-    last_detail_ = detail;
-    // The cube keeps its own copy of the rows: detail is handed out to
-    // callers as an immutable payload, while the cube's rows are its
-    // private diff baseline.
-    cube_.Refresh(detail->per_vm, wm);
+    cube_.Refresh(std::make_shared<const DailyCdiResult>(std::move(*pulled)),
+                  wm);
   } else {
     ++stats_.cube_answers;
   }
 
+  const DailyCdiResult& detail = *cube_.detail();
   CdiQueryResponse response;
   response.as_of_watermark = cube_.as_of();
   response.staleness =
       cube_.as_of() <= wm ? wm - cube_.as_of() : Duration::Zero();
   response.served_from_cube = !need_pull;
-  response.quality = last_quality_;
-  response.vms_deferred = last_deferred_;
-  response.fleet_baseline = last_baseline_;
-  response.fleet = last_fleet_;
+  response.quality = detail.quality;
+  response.vms_deferred = detail.vms_deferred;
+  response.fleet_baseline = detail.fleet_baseline;
+  response.fleet = detail.fleet;
   if (!query.group_by.empty()) {
     DrilldownQuery dq{.dimensions = query.group_by, .filter = query.filter};
     if (options_.materialize_cubes) {
@@ -159,12 +152,12 @@ StatusOr<CdiQueryResponse> CdiQueryService::ComputeLocked(
     } else {
       // Reference path (cubes off): recompute from the rows directly. The
       // differential suite pins this bit-identical to the cube path.
-      auto drilled = RunDrilldown(last_detail_->per_vm, dq);
+      auto drilled = RunDrilldown(detail.per_vm, dq);
       if (!drilled.ok()) return drilled.status();
       response.drilldown = std::move(*drilled);
     }
   }
-  if (query.include_detail) response.detail = last_detail_;
+  if (query.include_detail) response.detail = cube_.detail();
   return response;
 }
 

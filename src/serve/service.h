@@ -154,13 +154,8 @@ class CdiQueryService {
   mutable ArcResultCache cache_;
 
   mutable std::mutex mu_;
+  /// Holds the last pulled result; responses share it as their detail.
   DrilldownCube cube_;
-  /// Fleet metadata from the last pull (parallel to the cube's rows).
-  VmCdi last_fleet_;
-  UnavailabilityStats last_baseline_;
-  DataQuality last_quality_;
-  size_t last_deferred_ = 0;
-  std::shared_ptr<const DailyCdiResult> last_detail_;
   ServeStats stats_;
 
   obs::Counter* query_counter_;

@@ -75,7 +75,7 @@ DataQuality DecodeQuality(WireReader& r) {
 
 void EncodeVmRow(WireWriter& w, const VmCdiRecord& row) {
   w.Str(row.vm_id);
-  w.StrMap(row.dims);
+  w.StrMap(row.dims.map());
   EncodeVmCdi(w, row.cdi);
   EncodeQuality(w, row.quality);
 }
@@ -95,7 +95,7 @@ void EncodeEventRow(WireWriter& w, const EventCdiRecord& row) {
   w.U8(static_cast<uint8_t>(row.category));
   w.F64(row.damage_minutes);
   w.Dur(row.service_time);
-  w.StrMap(row.dims);
+  w.StrMap(row.dims.map());
 }
 
 EventCdiRecord DecodeEventRow(WireReader& r) {
@@ -229,7 +229,7 @@ RawEvent DecodeRawEvent(WireReader& r) {
 
 void EncodeVmServiceInfo(WireWriter& w, const VmServiceInfo& vm) {
   w.Str(vm.vm_id);
-  w.StrMap(vm.dims);
+  w.StrMap(vm.dims.map());
   w.Window(vm.service_period);
 }
 
@@ -351,10 +351,22 @@ ShardSnapshot DecodeSnapshot(WireReader& r) {
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     result.per_vm.push_back(DecodeVmRow(r));
   }
+  // An event row repeats its VM's dims on the wire. Decoded, it shares its
+  // VM row's Placement when the dims are equal, so a gathered result holds
+  // one map per VM, as a local one does. A snapshot's event rows follow its
+  // VM rows' order, so one forward cursor finds each VM row in O(rows).
   n = r.Count(kMinEventRowBytes);
   result.per_event.reserve(n);
+  size_t vm = 0;
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    result.per_event.push_back(DecodeEventRow(r));
+    EventCdiRecord row = DecodeEventRow(r);
+    while (vm < result.per_vm.size() && result.per_vm[vm].vm_id != row.vm_id) {
+      ++vm;
+    }
+    if (vm < result.per_vm.size() && result.per_vm[vm].dims == row.dims) {
+      row.dims = result.per_vm[vm].dims;
+    }
+    result.per_event.push_back(std::move(row));
   }
   result.fleet_baseline.interruption_count = r.U64();
   result.fleet_baseline.downtime = r.Dur();

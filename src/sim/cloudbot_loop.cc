@@ -579,7 +579,7 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // Heatmap endpoint: the day's damage grid, rendered straight off the
   // event log's SoA columns (no materialization, no period resolver).
   if (!options.heatmap_group_dim.empty()) {
-    std::map<std::string, std::map<std::string, std::string>> dims_by_target;
+    std::map<std::string, Placement> dims_by_target;
     for (const VmServiceInfo& vm : vms) dims_by_target[vm.vm_id] = vm.dims;
     serve::HeatmapSpec spec;
     spec.window = day;

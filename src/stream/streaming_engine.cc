@@ -500,7 +500,7 @@ StreamCheckpoint StreamingCdiEngine::Checkpoint() const {
     for (const auto& [vm_id, state] : shard->vms) {
       ckpt.vms.push_back(CheckpointVmEntry{
           .vm_id = state.info.vm_id,
-          .dims = state.info.dims,
+          .dims = state.info.dims.map(),
           .service_period = state.info.service_period});
       for (uint32_t row = 0; row < state.events.size(); ++row) {
         ckpt.events.push_back(state.events.Materialize(row));
@@ -593,7 +593,7 @@ StreamCheckpoint StreamingCdiEngine::ExtractRange(
       }
       frag.vms.push_back(CheckpointVmEntry{
           .vm_id = state.info.vm_id,
-          .dims = state.info.dims,
+          .dims = state.info.dims.map(),
           .service_period = state.info.service_period});
       for (uint32_t r = 0; r < state.events.size(); ++r) {
         frag.events.push_back(state.events.Materialize(r));

@@ -1,4 +1,5 @@
-// Allocation-count regression tests for the zero-copy per-VM hot path.
+// Allocation-count regression tests for the zero-copy per-VM hot path and
+// for copies of its result rows.
 //
 // The data-plane redesign's core promise is that ComputeVmDailyCdi does not
 // churn the heap: an event-free VM computes without touching it at all, and
@@ -15,6 +16,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 
 #include "cdi/pipeline.h"
 #include "event/catalog.h"
@@ -195,6 +198,41 @@ TEST_F(AllocRegressionTest, PerEventCostIsFlat) {
   EXPECT_LT(a64, 2 * a16 + 16)
       << "a16=" << a16 << " a64=" << a64
       << ": allocation count grows with event count";
+}
+
+TEST(RowCopyAllocTest, CopyingResultRowsAllocatesOnlyTheirStrings) {
+  // Result rows share their VM's placement: a copy — snapshot assembly, a
+  // gather, a served payload — bumps a reference count instead of
+  // allocating one map node per dimension. Ids too long for the
+  // small-string buffer make each row's owned strings visible: the per-VM
+  // row owns one (vm_id), the per-event row two (vm_id, event_name).
+  const Placement dims = {{"region", "r0"},    {"az", "r0-az1"},
+                          {"cluster", "c3"},   {"nc", "nc-0042"},
+                          {"type", "dedicated"}, {"arch", "hybrid"},
+                          {"model", "gen2"}};
+  ASSERT_EQ(dims.size(), 7u);
+  const std::string vm_id = "vm-with-a-long-fleet-id-000042";
+  VmCdiRecord vm_row;
+  vm_row.vm_id = vm_id;
+  vm_row.dims = dims;
+  EventCdiRecord event_row;
+  event_row.vm_id = vm_id;
+  event_row.event_name = "vm_resize_failed";
+  event_row.dims = dims;
+
+  size_t vm_allocs = 0;
+  size_t event_allocs = 0;
+  {
+    std::optional<VmCdiRecord> vm_copy;
+    std::optional<EventCdiRecord> event_copy;
+    vm_allocs = CountAllocations([&] { vm_copy.emplace(vm_row); });
+    event_allocs = CountAllocations([&] { event_copy.emplace(event_row); });
+    EXPECT_EQ(&vm_copy->dims.map(), &dims.map());
+    EXPECT_EQ(&event_copy->dims.map(), &dims.map());
+  }
+  EXPECT_EQ(vm_allocs, 1u) << "a VmCdiRecord copy must allocate only vm_id";
+  EXPECT_EQ(event_allocs, 2u)
+      << "an EventCdiRecord copy must allocate only vm_id and event_name";
 }
 
 }  // namespace

@@ -216,6 +216,13 @@ std::vector<VmCdiRecord> CubeRows() {
           row("vm-c", "r1", "z0", 1.0 / 11.0, 0.5, 1.0 / 13.0, 960)};
 }
 
+/// Wraps rows as the pulled result a query service hands its cube.
+std::shared_ptr<const DailyCdiResult> AsDetail(std::vector<VmCdiRecord> rows) {
+  auto detail = std::make_shared<DailyCdiResult>();
+  detail->per_vm = std::move(rows);
+  return detail;
+}
+
 void ExpectDrilldownIdentical(const DrilldownResult& want,
                               const DrilldownResult& got,
                               const std::string& what) {
@@ -247,7 +254,7 @@ TEST(DrilldownCubeTest, RequiresLoadedSnapshot) {
 
 TEST(DrilldownCubeTest, PropagatesQueryValidation) {
   DrilldownCube cube("serve_test.cube_invalid");
-  cube.Refresh(CubeRows(), At("2026-03-10 00:00"));
+  cube.Refresh(AsDetail(CubeRows()), At("2026-03-10 00:00"));
   EXPECT_EQ(cube.Answer(DrilldownQuery{}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(
@@ -262,7 +269,7 @@ TEST(DrilldownCubeTest, PropagatesQueryValidation) {
 TEST(DrilldownCubeTest, AnswerBitIdenticalToRunDrilldown) {
   DrilldownCube cube("serve_test.cube_bits");
   const std::vector<VmCdiRecord> rows = CubeRows();
-  cube.Refresh(rows, At("2026-03-10 00:00"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:00"));
   const DrilldownQuery queries[] = {
       {.dimensions = {"region"}},
       {.dimensions = {"region", "az"}},
@@ -281,7 +288,7 @@ TEST(DrilldownCubeTest, AnswerBitIdenticalToRunDrilldown) {
 TEST(DrilldownCubeTest, RefreshReusesUnchangedGroups) {
   DrilldownCube cube("serve_test.cube_reuse");
   std::vector<VmCdiRecord> rows = CubeRows();
-  cube.Refresh(rows, At("2026-03-10 00:00"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:00"));
   const DrilldownQuery query{.dimensions = {"region"}};
   ASSERT_TRUE(cube.Answer(query).ok());
   const CubeStats first = cube.stats();
@@ -289,7 +296,7 @@ TEST(DrilldownCubeTest, RefreshReusesUnchangedGroups) {
   EXPECT_EQ(first.groups_reused, 0u);
 
   // Identical rows: every group's fold must be reused, none recomputed.
-  cube.Refresh(rows, At("2026-03-10 00:05"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:05"));
   ASSERT_TRUE(cube.Answer(query).ok());
   const CubeStats second = cube.stats();
   EXPECT_EQ(second.groups_reused, 2u);
@@ -297,7 +304,7 @@ TEST(DrilldownCubeTest, RefreshReusesUnchangedGroups) {
 
   // One changed row: only its group refolds, the quiet one is reused.
   rows[2].cdi.performance = 0.75;  // vm-c, the sole member of r1
-  cube.Refresh(rows, At("2026-03-10 00:10"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:10"));
   auto answer = cube.Answer(query);
   ASSERT_TRUE(answer.ok());
   const CubeStats third = cube.stats();
@@ -312,15 +319,28 @@ TEST(DrilldownCubeTest, NegativeZeroIsAChange) {
   DrilldownCube cube("serve_test.cube_negzero");
   std::vector<VmCdiRecord> rows = CubeRows();
   rows[1].cdi.unavailability = 0.0;
-  cube.Refresh(rows, At("2026-03-10 00:00"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:00"));
   const DrilldownQuery query{.dimensions = {"az"}};
   ASSERT_TRUE(cube.Answer(query).ok());
   const uint64_t recomputed = cube.stats().groups_recomputed;
   rows[1].cdi.unavailability = -0.0;  // == under operator==, different bits
-  cube.Refresh(rows, At("2026-03-10 00:05"));
+  cube.Refresh(AsDetail(rows), At("2026-03-10 00:05"));
   ASSERT_TRUE(cube.Answer(query).ok());
   EXPECT_GT(cube.stats().groups_recomputed, recomputed)
       << "bitwise reuse test must treat -0.0 as a change";
+}
+
+TEST(DrilldownCubeTest, RefreshSharesTheSnapshotAndReleasesThePrevious) {
+  DrilldownCube cube("serve_test.cube_share");
+  const std::shared_ptr<const DailyCdiResult> first = AsDetail(CubeRows());
+  cube.Refresh(first, At("2026-03-10 00:00"));
+  EXPECT_EQ(cube.detail(), first) << "the cube must not copy the rows";
+  ASSERT_TRUE(cube.Answer(DrilldownQuery{.dimensions = {"region"}}).ok());
+
+  const std::weak_ptr<const DailyCdiResult> released = first;
+  cube.Refresh(AsDetail(CubeRows()), At("2026-03-10 00:05"));
+  EXPECT_EQ(released.use_count(), 1) << "only the test still holds it";
+  EXPECT_EQ(cube.stats().groups_reused, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +408,7 @@ TEST(HeatmapTest, DamageMinutesMath) {
   // Outside the 12h window: invisible to the heatmap.
   put("vm_crash", "vm-a", 13 * 60);
 
-  const std::map<std::string, std::map<std::string, std::string>> dims = {
+  const std::map<std::string, Placement> dims = {
       {"vm-a", {{"region", "rA"}, {"az", "rA-az0"}}},
       {"vm-b", {{"region", "rB"}}},
   };
@@ -438,7 +458,7 @@ TEST(HeatmapTest, JsonIsStrictAndComplete) {
   ev.time = start + Duration::Minutes(10);
   log.Append(ev);
 
-  const std::map<std::string, std::map<std::string, std::string>> dims = {
+  const std::map<std::string, Placement> dims = {
       {"vm-a", {{"region", "r\"quoted\""}}}};
   HeatmapSpec spec{.window = day, .buckets = 24, .group_dim = "region"};
   auto grid = BuildHeatmap(log.QueryAll(day), catalog, dims, spec);

@@ -7,6 +7,7 @@
 // filter under TSan as the referee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "shard/coordinator.h"
+#include "shard/message.h"
 #include "shard/shard_map.h"
 #include "weights/event_weights.h"
 
@@ -111,6 +113,66 @@ TEST(ShardMapTest, DiffOfIdenticalMapsIsEmpty) {
   EXPECT_TRUE(ShardMap::Diff(map, map).empty());
 }
 
+// --- Wire decode -----------------------------------------------------------
+
+VmCdiRecord VmRow(const std::string& id, Placement dims) {
+  VmCdiRecord row;
+  row.vm_id = id;
+  row.dims = std::move(dims);
+  return row;
+}
+
+EventCdiRecord EventRow(const std::string& id, const std::string& name,
+                        Placement dims) {
+  EventCdiRecord row;
+  row.vm_id = id;
+  row.event_name = name;
+  row.damage_minutes = 1.0;
+  row.dims = std::move(dims);
+  return row;
+}
+
+TEST(ShardWireTest, DecodedEventRowsShareTheirVmRowPlacement) {
+  ShardSnapshot sent;
+  DailyCdiResult& rows = sent.result;
+  rows.per_vm = {VmRow("vm-a", {{"region", "r0"}, {"nc", "nc1"}}),
+                 VmRow("vm-b", {{"region", "r0"}, {"nc", "nc2"}}),
+                 VmRow("vm-c", {{"region", "r1"}}), VmRow("vm-d", {})};
+  // Every event row carries its own, separately built map, as rows decoded
+  // from a worker did before sharing; vm-c's event row disagrees with its
+  // VM row and must keep its own dims.
+  rows.per_event = {
+      EventRow("vm-a", "slow_io", {{"region", "r0"}, {"nc", "nc1"}}),
+      EventRow("vm-a", "vcpu_high", {{"region", "r0"}, {"nc", "nc1"}}),
+      EventRow("vm-b", "slow_io", {{"region", "r0"}, {"nc", "nc2"}}),
+      EventRow("vm-c", "slow_io", {{"region", "r2"}}),
+      EventRow("vm-d", "slow_io", {})};
+  WireWriter w;
+  EncodeSnapshot(w, sent);
+  const std::string frame = std::move(w).Take();
+  WireReader r(frame);
+  const ShardSnapshot got = DecodeSnapshot(r);
+  ASSERT_TRUE(r.ok());
+  const DailyCdiResult& back = got.result;
+  ASSERT_EQ(back.per_vm.size(), 4u);
+  ASSERT_EQ(back.per_event.size(), 5u);
+
+  for (size_t i = 0; i < back.per_event.size(); ++i) {
+    EXPECT_EQ(back.per_event[i].dims, rows.per_event[i].dims) << i;
+  }
+  EXPECT_EQ(&back.per_event[0].dims.map(), &back.per_vm[0].dims.map());
+  EXPECT_EQ(&back.per_event[1].dims.map(), &back.per_vm[0].dims.map());
+  EXPECT_EQ(&back.per_event[2].dims.map(), &back.per_vm[1].dims.map());
+  EXPECT_NE(&back.per_event[3].dims.map(), &back.per_vm[2].dims.map());
+  EXPECT_TRUE(back.per_event[4].dims.empty());
+
+  // The bytes do not depend on sharing: re-encoding the decoded snapshot
+  // reproduces the frame.
+  WireWriter again;
+  EncodeSnapshot(again, got);
+  EXPECT_EQ(std::move(again).Take(), frame);
+}
+
 // --- Coordinator -----------------------------------------------------------
 
 class ShardCoordinatorTest : public ::testing::Test {
@@ -193,6 +255,41 @@ TEST_F(ShardCoordinatorTest, GatherDegradesOnDeadShardAndRecovers) {
   EXPECT_EQ(stats.shards_recovered, 1u);
   EXPECT_EQ(stats.shards_alive, 3u);
   EXPECT_GE(stats.degraded_gathers, 1u);
+}
+
+TEST_F(ShardCoordinatorTest, GatheredRowsHoldOneMapPerVm) {
+  ShardTopologyOptions topo;
+  topo.num_shards = 2;
+  topo.engine.window = day_;
+  auto coord_or = ShardCoordinator::Create(&catalog_, &*weights_, topo);
+  ASSERT_TRUE(coord_or.ok()) << coord_or.status().ToString();
+  ShardCoordinator& coord = **coord_or;
+  std::vector<VmServiceInfo> fleet;
+  for (const std::string& id : Ids(6)) {
+    fleet.push_back(VmServiceInfo{
+        .vm_id = id,
+        .dims = {{"region", "r0"}, {"nc", "nc-" + id}},
+        .service_period = day_});
+  }
+  ASSERT_TRUE(coord.RegisterVms(fleet).ok());
+  for (int m = 0; m < 12; ++m) {
+    const std::string& target = fleet[m % 6].vm_id;
+    ASSERT_TRUE(coord.Ingest(Event(target, 60 + m)).ok());
+    ASSERT_TRUE(coord.Ingest(Event(target, 90 + m, "packet_loss")).ok());
+  }
+  auto gathered = coord.Snapshot();
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  ASSERT_EQ(gathered->per_vm.size(), 6u);
+  ASSERT_GE(gathered->per_event.size(), 12u);
+  for (const EventCdiRecord& ev : gathered->per_event) {
+    auto vm = std::find_if(
+        gathered->per_vm.begin(), gathered->per_vm.end(),
+        [&](const VmCdiRecord& row) { return row.vm_id == ev.vm_id; });
+    ASSERT_NE(vm, gathered->per_vm.end()) << ev.vm_id;
+    EXPECT_EQ(ev.dims.at("nc"), "nc-" + ev.vm_id);
+    EXPECT_EQ(&ev.dims.map(), &vm->dims.map())
+        << ev.vm_id << "/" << ev.event_name;
+  }
 }
 
 TEST_F(ShardCoordinatorTest, SnapshotFailsOnlyWhenNoShardResponds) {
