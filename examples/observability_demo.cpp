@@ -34,14 +34,12 @@ int main(int argc, char** argv) {
   Rng rng(7);
 
   AutomationLoopOptions options;
-  options.streaming_cdi = true;
-  options.supervise_streaming = true;
-  options.checkpoint_dir = "observability_ckpt";
-  options.supervisor_crashes = 2;
+  options.streaming.emplace().supervisor = {
+      .checkpoint_dir = "observability_ckpt", .crashes = 2};
   options.incident_probability = 0.25;
-  options.capture_statusz = true;
-  options.statusz_every_incidents = 8;
-  options.trace_json_path = trace_path;
+  options.obs.capture_statusz = true;
+  options.obs.statusz_every_incidents = 8;
+  options.obs.trace_json_path = trace_path;
 
   auto result =
       RunAutomationDay(fleet, day_start, catalog, weights, options, &rng);

@@ -224,7 +224,7 @@ cmake --build build-asan -j "$JOBS" \
   --target common_test cdi_test stream_test chaos_test storage_test \
            obs_test flow_test overload_test shard_test shard_socket_test \
            shard_socket_equivalence_test fleet_obs_test serve_test \
-           serve_equivalence_test alloc_regression_test
+           serve_equivalence_test alloc_regression_test sim_test
 
 echo "== asan+ubsan: thread pool + retry + Placement + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -269,6 +269,13 @@ echo "== asan+ubsan: serving layer + one differential seed =="
 ./build-asan/tests/serve_test
 ./build-asan/tests/serve_equivalence_test \
     --gtest_filter='Seeds/ServeEquivalenceTest.EngineCacheOnMatchesCacheOff/7'
+
+echo "== asan+ubsan: closed-loop day through the read facade =="
+# Every loop read goes through a facade over a borrowed streaming engine
+# that the supervisor resets and re-emplaces across crash/restore, and over
+# a coordinator whose workers may be child processes; a dangling borrow or
+# an overread in any arm is an ASan failure here.
+./build-asan/tests/sim_test --gtest_filter='CloudBotLoopTest.*'
 
 echo "== asan+ubsan: fleet obs scatter/gather over worker processes =="
 # The obs-snapshot codec moves raw histogram buckets and drained spans

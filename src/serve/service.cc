@@ -13,20 +13,20 @@ uint64_t NowNs() {
           .count());
 }
 
-/// The freshness predicate shared by Get, Peek, and the admission probe:
-/// does `entry` (computed at entry.as_of) still satisfy `query` now that
-/// the source watermark is `wm`?
-bool EntryFresh(const ArcResultCache::Entry& entry, const CdiQuery& query,
-                TimePoint wm) {
+/// The one freshness rule, shared by the result cache (Get, Peek) and the
+/// cube (pull-or-answer, and the admission probe): does an answer computed
+/// at watermark `as_of` still satisfy `query` now that the source watermark
+/// is `wm`?
+bool FreshEnough(TimePoint as_of, const CdiQuery& query, TimePoint wm) {
   switch (query.consistency) {
     case Consistency::kFresh:
       return false;
     case Consistency::kCached:
-      return entry.as_of == wm;
+      return as_of == wm;
     case Consistency::kStaleOk:
-      return entry.as_of <= wm
-                 ? (wm - entry.as_of) <= query.max_staleness
-                 : true;  // entry ahead of a regressed clock: serve it
+      return as_of <= wm
+                 ? (wm - as_of) <= query.max_staleness
+                 : true;  // answer ahead of a regressed clock: serve it
   }
   return false;
 }
@@ -79,7 +79,7 @@ StatusOr<CdiQueryResponse> CdiQueryService::Query(const CdiQuery& query) {
   const std::string key = CanonicalQueryKey(query);
   if (query.consistency != Consistency::kFresh) {
     auto entry = cache_.Get(key, [&](const ArcResultCache::Entry& e) {
-      return EntryFresh(e, query, wm);
+      return FreshEnough(e.as_of, query, wm);
     });
     if (entry.has_value()) {
       CdiQueryResponse response = *entry->response;
@@ -110,17 +110,8 @@ StatusOr<CdiQueryResponse> CdiQueryService::Query(const CdiQuery& query) {
 
 StatusOr<CdiQueryResponse> CdiQueryService::ComputeLocked(
     const CdiQuery& query, TimePoint wm) {
-  bool need_pull = true;
-  if (options_.materialize_cubes && cube_.loaded() &&
-      query.consistency != Consistency::kFresh) {
-    if (query.consistency == Consistency::kCached) {
-      need_pull = cube_.as_of() != wm;
-    } else {  // kStaleOk
-      need_pull = cube_.as_of() <= wm
-                      ? (wm - cube_.as_of()) > query.max_staleness
-                      : false;
-    }
-  }
+  const bool need_pull = !(options_.materialize_cubes && cube_.loaded() &&
+                           FreshEnough(cube_.as_of(), query, wm));
 
   if (need_pull) {
     auto pulled = source_->Pull(query.deadline);
@@ -167,16 +158,14 @@ bool CdiQueryService::ProbablyCheap(const CdiQuery& query) const {
   const TimePoint wm = source_->watermark();
   const std::string key = CanonicalQueryKey(query);
   if (cache_.Peek(key, [&](const ArcResultCache::Entry& e) {
-        return EntryFresh(e, query, wm);
+        return FreshEnough(e.as_of, query, wm);
       })) {
     return true;
   }
   // An up-to-date cube answers without a source pull — cheap as well.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.materialize_cubes || !cube_.loaded()) return false;
-  if (query.consistency == Consistency::kCached) return cube_.as_of() == wm;
-  return cube_.as_of() <= wm ? (wm - cube_.as_of()) <= query.max_staleness
-                             : true;
+  return options_.materialize_cubes && cube_.loaded() &&
+         FreshEnough(cube_.as_of(), query, wm);
 }
 
 CubeStats CdiQueryService::cube_stats() const {

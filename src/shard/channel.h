@@ -44,7 +44,6 @@ class Transport {
   virtual bool closed() const = 0;
 
   /// Frames currently queued toward this endpoint (its inbound depth).
-  /// Feeds the per-shard queue-depth gauges.
   virtual size_t inbound_depth() const = 0;
 };
 

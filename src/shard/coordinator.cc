@@ -28,7 +28,6 @@ struct CoordMetrics {
   obs::Counter* failures;
   obs::Counter* recoveries;
   obs::Counter* events_routed;
-  obs::Counter* events_shed;
   obs::Counter* batches_flushed;
   obs::Counter* reconnects;
   obs::Counter* sessions_resumed;
@@ -54,7 +53,6 @@ const CoordMetrics& Metrics() {
         .failures = reg.GetCounter("shard.failures"),
         .recoveries = reg.GetCounter("shard.recoveries"),
         .events_routed = reg.GetCounter("shard.events_routed"),
-        .events_shed = reg.GetCounter("shard.events_shed"),
         .batches_flushed = reg.GetCounter("shard.batches_flushed"),
         .reconnects = reg.GetCounter("shard.transport.reconnects"),
         .sessions_resumed = reg.GetCounter("shard.transport.sessions_resumed"),
@@ -86,7 +84,7 @@ constexpr uint32_t kNumKinds =
 
 /// Reads the kind tag straight out of an encoded request frame (the u32
 /// after the u64 request id, little-endian on the wire) and returns that
-/// kind's metrics row; null for frames too short or kinds out of range.
+/// kind's metrics row; null for frames too short or unknown kinds.
 const RpcCallMetrics* CallMetricsForFrame(const std::string& frame) {
   if (frame.size() < 12) return nullptr;
   const auto* b = reinterpret_cast<const unsigned char*>(frame.data() + 8);
@@ -94,11 +92,12 @@ const RpcCallMetrics* CallMetricsForFrame(const std::string& frame) {
                         static_cast<uint32_t>(b[1]) << 8 |
                         static_cast<uint32_t>(b[2]) << 16 |
                         static_cast<uint32_t>(b[3]) << 24;
-  if (kind == 0 || kind >= kNumKinds) return nullptr;
+  if (!IsMessageKind(kind)) return nullptr;
   static const std::array<RpcCallMetrics, kNumKinds>& table = *[] {
     auto* t = new std::array<RpcCallMetrics, kNumKinds>{};
     auto& reg = obs::MetricsRegistry::Global();
     for (uint32_t k = 1; k < kNumKinds; ++k) {
+      if (!IsMessageKind(k)) continue;
       const std::string base =
           std::string("shard.rpc.") +
           MessageKindName(static_cast<MessageKind>(k));
@@ -171,7 +170,6 @@ ShardCoordinator::~ShardCoordinator() {
   }
   heartbeat_cv_.notify_all();
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-  for (auto& q : queues_) q->Close();
   for (auto& h : handles_) {
     if (h->channel != nullptr) h->channel->Close();
     if (h->host != nullptr) h->host->Kill();
@@ -188,7 +186,6 @@ StatusOr<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
         "ShardCoordinator requires a catalog and a weight model");
   }
   options.num_shards = std::max<size_t>(1, options.num_shards);
-  options.ingest_batch_size = std::max<size_t>(1, options.ingest_batch_size);
   std::unique_ptr<ShardCoordinator> coord(
       new ShardCoordinator(catalog, weights, std::move(options)));
   CDIBOT_RETURN_IF_ERROR(coord->StartWorkers());
@@ -199,8 +196,7 @@ std::unique_ptr<ShardHost> ShardCoordinator::MakeHost(size_t shard) {
   switch (options_.transport) {
     case ShardTransportMode::kInProcess:
       return std::make_unique<InProcessHost>(shard, catalog_, weights_,
-                                             options_.engine,
-                                             options_.channel_capacity);
+                                             options_.engine);
     case ShardTransportMode::kSocketThread: {
       std::string path =
           options_.socket_dir + "/shard-" + std::to_string(shard) + ".sock";
@@ -252,8 +248,6 @@ Status ShardCoordinator::StartWorkers() {
     h->index = i;
     h->host = MakeHost(i);
     CDIBOT_RETURN_IF_ERROR(h->host->Respawn());
-    h->depth_gauge =
-        reg.GetGauge("shard.queue_depth." + std::to_string(i));
     h->connected_gauge =
         reg.GetGauge("shard.session.connected." + std::to_string(i));
     h->outbox_gauge =
@@ -267,24 +261,6 @@ Status ShardCoordinator::StartWorkers() {
     CDIBOT_RETURN_IF_ERROR(EstablishWithRetryLocked(*hp));
   }
   pool_ = std::make_unique<ThreadPool>(n);
-  if (options_.flow_control) {
-    queues_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      auto q = std::make_unique<flow::BackpressureQueue>(options_.flow);
-      q->set_shed_callback([this](const RawEvent& ev, flow::FlowClass) {
-        {
-          std::lock_guard<std::mutex> lock(shed_mu_);
-          ++shed_pending_[ev.target];
-        }
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.events_shed;
-        }
-        Metrics().events_shed->Increment();
-      });
-      queues_.push_back(std::move(q));
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.num_shards = n;
@@ -497,8 +473,8 @@ Status ShardCoordinator::ResolveInFlightLocked(Handle& h) {
   }
   // A worker-rejected mutation is a deterministic failure: it did not
   // apply, so it stays out of the replay log. The original caller already
-  // saw a transport error for this request; the data-quality trail (shed /
-  // deferred accounting) is how its absence surfaces.
+  // saw a transport error for this request; the data-quality trail (deferred
+  // accounting) is how its absence surfaces.
   if (hdr.status.ok()) h.outbox.push_back(std::move(entry));
   if (h.outbox_gauge != nullptr) {
     h.outbox_gauge->Set(static_cast<double>(h.outbox.size()));
@@ -713,48 +689,10 @@ Status ShardCoordinator::Ingest(const RawEvent& event) {
     ++stats_.events_routed;
   }
 
-  if (!queues_.empty()) {
-    flow::FlowClass klass = flow::FlowClass::kPerformance;
-    if (const auto handle = catalog_->FindHandle(event.name)) {
-      klass = flow::FlowClassForCategory(handle->spec->category);
-    }
-    RawEvent copy = event;
-    switch (queues_[owner]->TryPush(std::move(copy), klass)) {
-      case flow::AdmitResult::kAdmitted:
-        break;
-      case flow::AdmitResult::kShed:
-        return Status::OK();  // accounted via the shed callback
-      case flow::AdmitResult::kQueueFull: {
-        // Full of unsheddable events: apply real backpressure by draining
-        // to the shard ourselves, then admit.
-        PumpQueueLocked(owner);
-        {
-          Handle& h = *handles_[owner];
-          std::lock_guard<std::mutex> lock(h.mu);
-          Status st = FlushPendingLocked(h);
-          if (!st.ok() && st.code() != StatusCode::kUnavailable) return st;
-        }
-        if (!queues_[owner]->Push(event, klass)) {
-          return Status::Unavailable("admission queue closed");
-        }
-        break;
-      }
-    }
-    if (queues_[owner]->depth() >= options_.ingest_batch_size) {
-      PumpQueueLocked(owner);
-      Handle& h = *handles_[owner];
-      std::lock_guard<std::mutex> lock(h.mu);
-      Status st = FlushPendingLocked(h);
-      // A down shard buffers; delivery resumes after recovery.
-      if (!st.ok() && st.code() != StatusCode::kUnavailable) return st;
-    }
-    return Status::OK();
-  }
-
   Handle& h = *handles_[owner];
   std::lock_guard<std::mutex> lock(h.mu);
   h.pending.push_back(event);
-  if (h.pending.size() >= options_.ingest_batch_size) {
+  if (h.pending.size() >= kIngestBatchSize) {
     Status st = FlushPendingLocked(h);
     if (!st.ok() && st.code() != StatusCode::kUnavailable) return st;
   }
@@ -801,17 +739,6 @@ Status ShardCoordinator::AdvanceWatermarkTo(TimePoint t) {
   return first_err;
 }
 
-void ShardCoordinator::PumpQueueLocked(size_t shard) {
-  if (queues_.empty()) return;
-  std::vector<RawEvent> drained;
-  RawEvent ev;
-  while (queues_[shard]->TryPop(&ev)) drained.push_back(std::move(ev));
-  Handle& h = *handles_[shard];
-  std::lock_guard<std::mutex> lock(h.mu);
-  for (RawEvent& e : drained) h.pending.push_back(std::move(e));
-  h.depth_gauge->Set(static_cast<double>(queues_[shard]->depth()));
-}
-
 Status ShardCoordinator::FlushPendingLocked(Handle& h) {
   if (h.pending.empty()) return Status::OK();
   if (!h.alive.load(std::memory_order_acquire)) {
@@ -835,36 +762,12 @@ Status ShardCoordinator::FlushPendingLocked(Handle& h) {
 
 Status ShardCoordinator::FlushAllLocked() {
   Status first_err;
-  for (size_t i = 0; i < handles_.size(); ++i) {
-    PumpQueueLocked(i);
-    Handle& h = *handles_[i];
+  for (auto& hp : handles_) {
+    Handle& h = *hp;
     std::lock_guard<std::mutex> lock(h.mu);
     Status st = FlushPendingLocked(h);
     if (!st.ok() && st.code() != StatusCode::kUnavailable && first_err.ok()) {
       first_err = st;
-    }
-  }
-  std::map<std::string, uint64_t> sheds;
-  {
-    std::lock_guard<std::mutex> lock(shed_mu_);
-    sheds.swap(shed_pending_);
-  }
-  for (const auto& [target, count] : sheds) {
-    Handle& h = *handles_[map_.OwnerOf(target)];
-    std::lock_guard<std::mutex> lock(h.mu);
-    Status st;
-    if (h.alive.load(std::memory_order_acquire)) {
-      const uint64_t id = h.next_request_id++;
-      st = MutateLocked(h, id, EncodeRecordShed(id, target, count));
-    } else {
-      st = Status::Unavailable("shard down");
-    }
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> shed_lock(shed_mu_);
-      shed_pending_[target] += count;
-      if (st.code() != StatusCode::kUnavailable && first_err.ok()) {
-        first_err = st;
-      }
     }
   }
   return first_err;

@@ -17,7 +17,6 @@
 
 #include "common/retry.h"
 #include "common/thread_pool.h"
-#include "flow/backpressure_queue.h"
 #include "obs/metrics.h"
 #include "shard/channel.h"
 #include "shard/host.h"
@@ -74,16 +73,6 @@ struct ShardTopologyOptions {
   /// the coordinator (in-process and thread modes only — a child process
   /// cannot borrow it and builds its own).
   StreamingCdiOptions engine;
-  /// Ingest frames are batched per shard up to this many events before a
-  /// flush; gathers and watermark advances flush implicitly.
-  size_t ingest_batch_size = 256;
-  /// Per-direction channel capacity (frames), in-process mode only.
-  size_t channel_capacity = 4096;
-  /// Admission control in front of each shard's channel: overload sheds
-  /// sheddable-class events (never unavailability) and reports them to the
-  /// owning shard as DataQuality::events_shed.
-  bool flow_control = false;
-  flow::FlowOptions flow;
 
   ShardTransportMode transport = ShardTransportMode::kInProcess;
   /// Directory for the per-shard Unix sockets (socket modes). Empty: the
@@ -119,7 +108,6 @@ struct ShardFleetStats {
   uint64_t shard_failures = 0;
   uint64_t shards_recovered = 0;
   uint64_t events_routed = 0;
-  uint64_t events_shed = 0;
   uint64_t batches_flushed = 0;
   /// Transport sessions established beyond each shard's first (dials that
   /// followed a dropped connection or a respawn).
@@ -177,6 +165,10 @@ struct ShardFleetStats {
 /// per-handle mutex.
 class ShardCoordinator {
  public:
+  /// Ingest frames are batched per shard up to this many events before a
+  /// flush; gathers and watermark advances flush implicitly.
+  static constexpr size_t kIngestBatchSize = 256;
+
   /// `catalog` and `weights` must outlive the coordinator. Spawns and
   /// starts all workers; fails if any engine rejects the options.
   static StatusOr<std::unique_ptr<ShardCoordinator>> Create(
@@ -194,9 +186,8 @@ class ShardCoordinator {
   Status RegisterVms(const std::vector<VmServiceInfo>& vms);
   Status RegisterVm(const VmServiceInfo& vm);
 
-  /// Routes one event to its owner shard (buffered; see
-  /// ShardTopologyOptions::ingest_batch_size). With flow control on, the
-  /// event passes the owner's admission queue first and may be shed.
+  /// Routes one event to its owner shard, buffered per shard into ingest
+  /// batches of kIngestBatchSize events.
   Status Ingest(const RawEvent& event);
   Status IngestBatch(const std::vector<RawEvent>& events);
 
@@ -207,8 +198,7 @@ class ShardCoordinator {
   /// is re-advanced to the highest requested value.
   Status AdvanceWatermarkTo(TimePoint t);
 
-  /// Drains admission queues and delivers all buffered events and shed
-  /// accounting to the owner shards.
+  /// Delivers all buffered events to their owner shards.
   Status Flush();
 
   /// Settled fleet snapshot: flush, scatter an unbounded gather to every
@@ -329,7 +319,6 @@ class ShardCoordinator {
     /// coordinator-side.
     std::vector<RawEvent> pending;
     TimePoint last_watermark;
-    obs::Gauge* depth_gauge = nullptr;
     /// Session health, per shard: 1 while a session is live, 0 after the
     /// shard is marked dead; and the replay-outbox depth (frames held for
     /// recovery since the last checkpoint).
@@ -383,13 +372,10 @@ class ShardCoordinator {
   void MarkDead(Handle& h);
   void HeartbeatLoop();
 
-  /// Drains shard i's admission queue into its pending buffer. Requires
-  /// topology lock (shared suffices).
-  void PumpQueueLocked(size_t shard);
   /// Sends shard i's pending events as one ingest batch. Requires h.mu.
   Status FlushPendingLocked(Handle& h);
-  /// Pump + pending + shed accounting for every shard. Requires topology
-  /// lock (shared suffices).
+  /// FlushPendingLocked for every shard. Requires topology lock (shared
+  /// suffices).
   Status FlushAllLocked();
   Status CheckpointShardsLocked();
   /// Merged gather implementation. Requires topology lock (shared).
@@ -437,12 +423,6 @@ class ShardCoordinator {
 
   /// Scatter/gather worker pool (one task per shard).
   std::unique_ptr<ThreadPool> pool_;
-
-  /// Admission queues, one per shard (flow_control only).
-  std::vector<std::unique_ptr<flow::BackpressureQueue>> queues_;
-  /// Shed counts not yet reported to owner shards (target -> count).
-  std::mutex shed_mu_;
-  std::map<std::string, uint64_t> shed_pending_;
 
   /// Highest watermark ever requested; re-applied to recovered shards.
   std::mutex wm_mu_;

@@ -32,19 +32,17 @@ StatusOr<std::unique_ptr<Transport>> Decorate(
 
 InProcessHost::InProcessHost(size_t index, const EventCatalog* catalog,
                              const EventWeightModel* weights,
-                             StreamingCdiOptions options,
-                             size_t channel_capacity)
+                             StreamingCdiOptions options)
     : index_(index),
       catalog_(catalog),
       weights_(weights),
-      options_(std::move(options)),
-      channel_capacity_(channel_capacity) {}
+      options_(std::move(options)) {}
 
 InProcessHost::~InProcessHost() { Kill(); }
 
 Status InProcessHost::Respawn() {
   Kill();
-  TransportPair pair = MakeInProcessPair(channel_capacity_);
+  TransportPair pair = MakeInProcessPair();
   worker_ = std::make_unique<ShardWorker>(index_, catalog_, weights_,
                                           options_, std::move(pair.worker_end));
   worker_->Start();

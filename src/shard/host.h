@@ -64,8 +64,7 @@ class ShardHost {
 class InProcessHost final : public ShardHost {
  public:
   InProcessHost(size_t index, const EventCatalog* catalog,
-                const EventWeightModel* weights, StreamingCdiOptions options,
-                size_t channel_capacity);
+                const EventWeightModel* weights, StreamingCdiOptions options);
   ~InProcessHost() override;
 
   Status Respawn() override;
@@ -79,7 +78,6 @@ class InProcessHost final : public ShardHost {
   const EventCatalog* catalog_;
   const EventWeightModel* weights_;
   StreamingCdiOptions options_;
-  const size_t channel_capacity_;
   std::unique_ptr<ShardWorker> worker_;
   std::unique_ptr<Transport> coordinator_end_;
 };

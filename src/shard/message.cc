@@ -1,5 +1,6 @@
 #include "shard/message.h"
 
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -155,8 +156,6 @@ const char* MessageKindName(MessageKind kind) {
       return "install_vms";
     case MessageKind::kExpectDelivery:
       return "expect_delivery";
-    case MessageKind::kRecordShed:
-      return "record_shed";
     case MessageKind::kAdvanceWatermark:
       return "advance_watermark";
     case MessageKind::kCheckpoint:
@@ -171,6 +170,11 @@ const char* MessageKindName(MessageKind kind) {
       return "obs_snapshot";
   }
   return "unknown";
+}
+
+bool IsMessageKind(uint32_t tag) {
+  return std::string_view(MessageKindName(static_cast<MessageKind>(tag))) !=
+         "unknown";
 }
 
 Status StatusFromWire(uint32_t code, const std::string& message) {
@@ -440,15 +444,6 @@ std::string EncodeExpectDelivery(uint64_t request_id,
                                  const std::string& target, uint64_t count) {
   WireWriter w;
   EncodeRequestHeader(w, request_id, MessageKind::kExpectDelivery);
-  w.Str(target);
-  w.U64(count);
-  return std::move(w).Take();
-}
-
-std::string EncodeRecordShed(uint64_t request_id, const std::string& target,
-                             uint64_t count) {
-  WireWriter w;
-  EncodeRequestHeader(w, request_id, MessageKind::kRecordShed);
   w.Str(target);
   w.U64(count);
   return std::move(w).Take();
@@ -771,8 +766,7 @@ StatusOr<RequestFrame> DecodeRequestHeader(const std::string& frame) {
   req.trace_id = req.reader.U64();
   req.parent_span_id = req.reader.U64();
   CDIBOT_RETURN_IF_ERROR(req.reader.status());
-  if (kind < static_cast<uint32_t>(MessageKind::kPing) ||
-      kind > static_cast<uint32_t>(MessageKind::kObsSnapshot)) {
+  if (!IsMessageKind(kind)) {
     return Status::DataLoss("unknown request kind " + std::to_string(kind));
   }
   req.kind = static_cast<MessageKind>(kind);
@@ -786,8 +780,7 @@ StatusOr<ResponseFrame> DecodeResponseHeader(const std::string& frame) {
   const uint32_t kind = resp.reader.U32();
   resp.status = DecodeStatus(resp.reader);
   CDIBOT_RETURN_IF_ERROR(resp.reader.status());
-  if (kind < static_cast<uint32_t>(MessageKind::kPing) ||
-      kind > static_cast<uint32_t>(MessageKind::kObsSnapshot)) {
+  if (!IsMessageKind(kind)) {
     return Status::DataLoss("unknown response kind " + std::to_string(kind));
   }
   resp.kind = static_cast<MessageKind>(kind);

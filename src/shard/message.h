@@ -18,7 +18,7 @@
 namespace cdibot::shard {
 
 /// Request kinds of the coordinator->worker protocol. The numeric values
-/// are the wire tags; append-only.
+/// are the wire tags; append-only, and a retired tag is never reused.
 enum class MessageKind : uint32_t {
   kPing = 1,              ///< liveness probe; response carries the watermark
   kRegisterVm = 2,        ///< declare/update one VM's service window
@@ -27,7 +27,8 @@ enum class MessageKind : uint32_t {
   kExtractRange = 5,      ///< rebalance: remove a VM range, return fragment
   kInstallVms = 6,        ///< rebalance: install a fragment from a peer
   kExpectDelivery = 7,    ///< delivery-manifest announcement for a target
-  kRecordShed = 8,        ///< upstream admission control shed events
+  // 8 is reserved: the retired shed report of the coordinator's removed
+  // admission queues. Decoders reject it like any unknown tag.
   kAdvanceWatermark = 9,  ///< explicit watermark advance (idle stream)
   kCheckpoint = 10,       ///< return the engine's durable state
   kRestore = 11,          ///< replace the engine with a checkpoint restore
@@ -40,6 +41,10 @@ enum class MessageKind : uint32_t {
 /// span naming. Returns "unknown" only for values outside the enum, which
 /// the header decoders already reject.
 const char* MessageKindName(MessageKind kind);
+
+/// True when `tag` is the wire tag of a live MessageKind; false for zero,
+/// retired and out-of-range tags.
+bool IsMessageKind(uint32_t tag);
 
 /// Everything one shard contributes to a fleet-level gather: the worker's
 /// local result, which the coordinator folds in with
@@ -149,8 +154,6 @@ std::string EncodeInstallVms(uint64_t request_id,
                              const StreamCheckpoint& fragment);
 std::string EncodeExpectDelivery(uint64_t request_id,
                                  const std::string& target, uint64_t count);
-std::string EncodeRecordShed(uint64_t request_id, const std::string& target,
-                             uint64_t count);
 std::string EncodeAdvanceWatermark(uint64_t request_id, TimePoint to);
 std::string EncodeCheckpointRequest(uint64_t request_id);
 std::string EncodeRestore(uint64_t request_id, const StreamCheckpoint& ckpt);

@@ -48,6 +48,7 @@ const RpcMetrics& WorkerRpcMetrics(MessageKind kind) {
     auto* t = new std::array<RpcMetrics, kNumKinds>{};
     auto& reg = obs::MetricsRegistry::Global();
     for (uint32_t k = 1; k < kNumKinds; ++k) {
+      if (!IsMessageKind(k)) continue;
       const std::string base =
           std::string("shard.rpc.") +
           MessageKindName(static_cast<MessageKind>(k));
@@ -72,7 +73,6 @@ const char* RpcSpanName(MessageKind kind) {
     case MessageKind::kExtractRange: return "shard.rpc.extract_range";
     case MessageKind::kInstallVms: return "shard.rpc.install_vms";
     case MessageKind::kExpectDelivery: return "shard.rpc.expect_delivery";
-    case MessageKind::kRecordShed: return "shard.rpc.record_shed";
     case MessageKind::kAdvanceWatermark:
       return "shard.rpc.advance_watermark";
     case MessageKind::kCheckpoint: return "shard.rpc.checkpoint";
@@ -96,7 +96,6 @@ bool SessionTracked(MessageKind kind) {
     case MessageKind::kExtractRange:
     case MessageKind::kInstallVms:
     case MessageKind::kExpectDelivery:
-    case MessageKind::kRecordShed:
     case MessageKind::kAdvanceWatermark:
     case MessageKind::kRestore:
     case MessageKind::kInit:
@@ -315,13 +314,6 @@ std::string ShardService::Dispatch(const RequestFrame& req, WireReader& r) {
       const uint64_t count = r.U64();
       if (!r.ok()) break;
       engine_->ExpectDelivery(target, count);
-      return status_response(Status::OK());
-    }
-    case MessageKind::kRecordShed: {
-      const std::string target = r.Str();
-      const uint64_t count = r.U64();
-      if (!r.ok()) break;
-      engine_->RecordShed(target, count);
       return status_response(Status::OK());
     }
     case MessageKind::kAdvanceWatermark: {

@@ -21,6 +21,9 @@ namespace cdibot::shard {
 
 namespace {
 
+/// Bytes per read() into the frame assembler.
+constexpr size_t kReadChunkBytes = 64 << 10;
+
 struct TransportMetrics {
   obs::Counter* frames_sent;
   obs::Counter* frames_received;
@@ -233,7 +236,7 @@ void SocketTransport::DrainAssemblerLocked() {
 
 Status SocketTransport::FillLocked(const Deadline& deadline) {
   CDIBOT_RETURN_IF_ERROR(PollFd(fd_, POLLIN, deadline));
-  std::string chunk(options_.read_chunk_bytes, '\0');
+  std::string chunk(kReadChunkBytes, '\0');
   while (true) {
     const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
     if (n > 0) {

@@ -35,8 +35,6 @@ struct SocketTransportOptions {
   /// is indistinguishable from a hostile one. Checkpoint frames for big
   /// shards are tens of MB at most.
   size_t max_frame_bytes = size_t{256} << 20;
-  /// Bytes per read() into the frame assembler.
-  size_t read_chunk_bytes = 64 << 10;
 };
 
 /// Wraps `payload` in the wire framing above.

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/statusz.h"
 #include "obs/trace.h"
+#include "flow/watchdog.h"
 #include "ops/placement.h"
 #include "storage/checkpoint_store.h"
 
@@ -43,40 +44,80 @@ RawEvent MakeEvent(const std::string& name, TimePoint time,
   return ev;
 }
 
+/// Enables the global tracer for one run when asked and restores its prior
+/// state on every exit path, so a failed day leaves a caller's tracer as it
+/// found it.
+class ScopedTracing {
+ public:
+  explicit ScopedTracing(bool want)
+      : owned_(want && !obs::Tracer::Global().enabled()) {
+    if (owned_) obs::Tracer::Global().Enable();
+  }
+  ~ScopedTracing() { End(); }
+  ScopedTracing(const ScopedTracing&) = delete;
+  ScopedTracing& operator=(const ScopedTracing&) = delete;
+
+  /// Restores the prior state now instead of at scope exit.
+  void End() {
+    if (owned_) obs::Tracer::Global().Disable();
+    owned_ = false;
+  }
+
+ private:
+  bool owned_;
+};
+
 }  // namespace
+
+Status AutomationLoopOptions::Validate() const {
+  if (tick.millis() <= 0) {
+    return Status::InvalidArgument("tick must be positive");
+  }
+  if (streaming.has_value() && streaming->supervisor.has_value()) {
+    const Supervisor& sup = *streaming->supervisor;
+    if (sup.checkpoint_dir.empty()) {
+      return Status::InvalidArgument(
+          "a streaming supervisor needs a checkpoint_dir");
+    }
+    if (sup.watchdog_stall_timeout.has_value() &&
+        !streaming->flow.has_value()) {
+      return Status::InvalidArgument(
+          "watchdog recovery needs a streaming flow queue to buffer the "
+          "outage");
+    }
+  }
+  if ((obs.fleet_statusz || !obs.merged_trace_path.empty()) &&
+      (!sharded.has_value() ||
+       sharded->transport != shard::ShardTransportMode::kSocketProcess)) {
+    return Status::InvalidArgument(
+        "fleet_statusz/merged_trace_path need sharded workers over "
+        "kSocketProcess: same-process shard modes share the coordinator's "
+        "obs registry, so a fleet merge would double-count every metric");
+  }
+  return Status::OK();
+}
 
 StatusOr<AutomationLoopResult> RunAutomationDay(
     const Fleet& fleet, TimePoint day_start, const EventCatalog& catalog,
     const EventWeightModel& weights, const AutomationLoopOptions& options,
     Rng* rng, dataflow::ExecContext ctx) {
-  if (options.tick.millis() <= 0) {
-    return Status::InvalidArgument("tick must be positive");
-  }
-  if (options.flow_control && !options.streaming_cdi) {
-    return Status::InvalidArgument("flow_control requires streaming_cdi");
-  }
-  if (options.watchdog_recovery &&
-      (!options.flow_control || !options.supervise_streaming)) {
-    return Status::InvalidArgument(
-        "watchdog_recovery requires flow_control and supervise_streaming");
-  }
+  CDIBOT_RETURN_IF_ERROR(options.Validate());
+  using Supervisor = AutomationLoopOptions::Supervisor;
+  using FlowConfig = AutomationLoopOptions::Flow;
+  const Supervisor* supervisor =
+      options.streaming.has_value() && options.streaming->supervisor
+          ? &*options.streaming->supervisor
+          : nullptr;
+  const FlowConfig* flow_config =
+      options.streaming.has_value() && options.streaming->flow
+          ? &*options.streaming->flow
+          : nullptr;
   const bool fleet_obs =
-      options.fleet_statusz || !options.merged_trace_path.empty();
-  if (fleet_obs &&
-      (!options.sharded_cdi ||
-       options.shard_transport != shard::ShardTransportMode::kSocketProcess)) {
-    return Status::InvalidArgument(
-        "fleet_statusz/merged_trace_path require sharded_cdi over "
-        "kSocketProcess: same-process shard modes share the coordinator's "
-        "obs registry, so a fleet merge would double-count every metric");
-  }
-  // Tracing for the run when a trace path is requested; restored on exit so
-  // a caller-enabled tracer is left untouched. A merged fleet trace needs
-  // the coordinator side traced too, not just the workers.
-  const bool tracer_was_enabled = obs::Tracer::Global().enabled();
-  const bool want_tracing = !options.trace_json_path.empty() ||
-                            !options.merged_trace_path.empty();
-  if (want_tracing) obs::Tracer::Global().Enable();
+      options.obs.fleet_statusz || !options.obs.merged_trace_path.empty();
+  // A merged fleet trace needs the coordinator side traced too, not just
+  // the workers.
+  ScopedTracing tracing(!options.obs.trace_json_path.empty() ||
+                        !options.obs.merged_trace_path.empty());
   // Held in an optional so the day span can be closed before the trace file
   // is written (a still-open span would be missing from the export).
   std::optional<obs::ScopedSpan> day_span;
@@ -124,14 +165,14 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   CDIBOT_ASSIGN_OR_RETURN(const auto vms, fleet.ServiceInfos(day));
 
   // Optional shadow engine: sees every event the log sees, live.
+  StreamingCdiOptions stream_options;
+  stream_options.window = day;
+  stream_options.pool = ctx.pool;
   std::optional<StreamingCdiEngine> stream;
-  if (options.streaming_cdi) {
-    StreamingCdiOptions sopts;
-    sopts.window = day;
-    sopts.pool = ctx.pool;
+  if (options.streaming.has_value()) {
     CDIBOT_ASSIGN_OR_RETURN(
         StreamingCdiEngine engine_impl,
-        StreamingCdiEngine::Create(&catalog, &weights, sopts));
+        StreamingCdiEngine::Create(&catalog, &weights, stream_options));
     stream.emplace(std::move(engine_impl));
     for (const VmServiceInfo& vm : vms) {
       CDIBOT_RETURN_IF_ERROR(stream->RegisterVm(vm));
@@ -141,42 +182,21 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // ShardCoordinator to per-range shard workers over message channels. Its
   // end-of-day gather is compared against the batch and streaming values.
   std::unique_ptr<shard::ShardCoordinator> sharded;
-  if (options.sharded_cdi) {
+  if (options.sharded.has_value()) {
+    const AutomationLoopOptions::Sharded& so = *options.sharded;
     shard::ShardTopologyOptions topo;
-    topo.num_shards = options.cdi_shards;
+    topo.num_shards = so.shards;
     topo.engine.window = day;
-    topo.transport = options.shard_transport;
-    topo.worker_binary = options.shard_worker_binary;
-    topo.weight_spec = options.shard_weight_spec;
-    topo.worker_tracing = !options.merged_trace_path.empty();
+    topo.transport = so.transport;
+    topo.worker_binary = so.worker_binary;
+    topo.weight_spec = so.weight_spec;
+    topo.worker_tracing = !options.obs.merged_trace_path.empty();
     CDIBOT_ASSIGN_OR_RETURN(
         sharded, shard::ShardCoordinator::Create(&catalog, &weights,
                                                  std::move(topo)));
     CDIBOT_RETURN_IF_ERROR(sharded->RegisterVms(vms));
   }
   bool shards_rebalanced = false;
-  // Unified read facade: when enabled, every read below goes through a
-  // CdiQueryService per topology instead of the engines' own methods. The
-  // sources borrow the engines; `stream` lives in an optional whose
-  // storage is stable across crash/restore emplacements, so the borrowed
-  // pointer stays valid whenever stream.has_value() — and the facade is
-  // only consulted under that check.
-  std::optional<serve::EngineSource> stream_source;
-  std::optional<serve::CdiQueryService> stream_service;
-  std::optional<serve::CoordinatorSource> shard_source;
-  std::optional<serve::CdiQueryService> shard_service;
-  if (options.serve_reads) {
-    if (stream.has_value()) {
-      stream_source.emplace(&*stream);
-      stream_service.emplace(&*stream_source, options.serve_options);
-    }
-    if (sharded != nullptr) {
-      serve::CdiQueryServiceOptions shard_serve_options = options.serve_options;
-      shard_serve_options.metric_prefix += ".shard";
-      shard_source.emplace(sharded.get());
-      shard_service.emplace(&*shard_source, shard_serve_options);
-    }
-  }
   // Flow control: instead of ingesting directly, events enter a bounded
   // backpressure queue; a pump drains it into the engine after each
   // incident. Sheds are tallied per target and reported to the engine
@@ -184,8 +204,8 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // DataQuality annotation rather than a silent gap.
   std::optional<flow::BackpressureQueue> queue;
   std::map<std::string, uint64_t> shed_counts;
-  if (options.flow_control) {
-    queue.emplace(options.flow_options);
+  if (flow_config != nullptr) {
+    queue.emplace(flow_config->queue);
     queue->set_shed_callback(
         [&shed_counts](const RawEvent& ev, flow::FlowClass) {
           ++shed_counts[ev.target];
@@ -215,18 +235,18 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // polls run on this clock so stall detection is deterministic.
   TimePoint sim_now = day.start;
   std::optional<flow::Watchdog> watchdog;
-  if (options.watchdog_recovery) {
+  if (supervisor != nullptr && supervisor->watchdog_stall_timeout) {
     watchdog.emplace("stream_pump",
                      flow::WatchdogOptions{
-                         .stall_timeout = options.watchdog_stall_timeout});
+                         .stall_timeout = *supervisor->watchdog_stall_timeout});
   }
   // Drains the queue into the engine (bounded per step when configured).
   // A dead engine leaves the backlog in place — the queue, not the
   // engine, is the day's buffer of record while the supervisor reacts.
   auto pump = [&]() -> Status {
     if (!queue.has_value() || !stream.has_value()) return Status::OK();
-    const bool unbounded = options.flow_drain_per_step == 0;
-    size_t budget = options.flow_drain_per_step;
+    const bool unbounded = flow_config->drain_per_step == 0;
+    size_t budget = flow_config->drain_per_step;
     RawEvent ev;
     while ((unbounded || budget-- > 0) && queue->TryPop(&ev)) {
       CDIBOT_RETURN_IF_ERROR(stream->Ingest(ev));
@@ -239,27 +259,28 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // engine at evenly spaced points across the day.
   std::optional<StreamCheckpointStore> store;
   std::set<size_t> crash_after;
-  if (options.supervise_streaming) {
-    if (!options.streaming_cdi) {
-      return Status::InvalidArgument(
-          "supervise_streaming requires streaming_cdi");
-    }
-    if (options.checkpoint_dir.empty()) {
-      return Status::InvalidArgument(
-          "supervise_streaming requires a checkpoint_dir");
-    }
-    CheckpointStoreOptions store_options;
-    store_options.breaker = options.checkpoint_breaker;
+  if (supervisor != nullptr) {
     CDIBOT_ASSIGN_OR_RETURN(
         StreamCheckpointStore opened,
-        StreamCheckpointStore::Open(options.checkpoint_dir, store_options));
+        StreamCheckpointStore::Open(supervisor->checkpoint_dir));
     store.emplace(std::move(opened));
     const size_t n = incidents.size();
-    const size_t k = std::min(options.supervisor_crashes, n);
+    const size_t k = std::min(supervisor->crashes, n);
     for (size_t j = 1; j <= k; ++j) {
       crash_after.insert(j * n / (k + 1));
     }
   }
+  // Brings a crashed engine back from the last good checkpoint.
+  auto restore_engine = [&]() -> Status {
+    CDIBOT_ASSIGN_OR_RETURN(const StreamCheckpoint ckpt, store->LoadLastGood());
+    CDIBOT_ASSIGN_OR_RETURN(
+        StreamingCdiEngine revived,
+        StreamingCdiEngine::Restore(ckpt, &catalog, &weights, stream_options));
+    stream.emplace(std::move(revived));
+    ++result.restores_completed;
+    if (watchdog.has_value()) watchdog->NoteRecovery();
+    return Status::OK();
+  };
 
   EventLog log;
   std::map<std::string, std::string> vm_to_nc;
@@ -356,77 +377,26 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
     // Mid-day shard rebalance: recut the map and hand ranges off while the
     // rest of the day's traffic is still coming — exactly once, at the
     // halfway incident.
-    if (sharded != nullptr && options.shard_rebalance_midday &&
+    if (sharded != nullptr && options.sharded->rebalance_midday &&
         !shards_rebalanced && inc_index + 1 >= (incidents.size() + 1) / 2) {
       shards_rebalanced = true;
       CDIBOT_RETURN_IF_ERROR(sharded->Rebalance());
     }
 
-    // Intra-day checkpoint: let the live watchdog look at the fleet as it
-    // stands after this incident's events. Only the VMs touched since the
-    // previous snapshot are recomputed.
-    if (stream.has_value() && options.live_monitor != nullptr) {
-      if (stream_service.has_value()) {
-        // Facade route: a fresh detail-carrying query is exactly a
-        // Snapshot() (same pull, same bits), packaged as the one response
-        // shape every other consumer uses.
-        serve::CdiQuery q;
-        q.consistency = serve::Consistency::kFresh;
-        q.include_detail = true;
-        CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse live,
-                                stream_service->Query(q));
-        CDIBOT_ASSIGN_OR_RETURN(
-            const auto problems,
-            options.live_monitor->Preview(day.start, *live.detail));
-        result.live_problems += problems.size();
-      } else {
-        CDIBOT_ASSIGN_OR_RETURN(const DailyCdiResult live, stream->Snapshot());
-        CDIBOT_ASSIGN_OR_RETURN(
-            const auto problems,
-            options.live_monitor->Preview(day.start, live));
-        result.live_problems += problems.size();
-      }
-    }
-
     // Supervisor: persist the engine's durable state, then possibly kill
     // it. Without watchdog recovery the engine is brought back from disk
     // immediately (crash-right-after-checkpoint, so no ingested event is
-    // lost and the day's final streaming CDI still agrees with the batch
-    // job — the recovery suite pins this). With watchdog recovery the
-    // crash goes UNHANDLED here: the backpressure queue buffers the
-    // traffic and the watchdog below detects the silence and restores.
-    auto restore_engine = [&]() -> Status {
-      CDIBOT_ASSIGN_OR_RETURN(const StreamCheckpoint ckpt,
-                              store->LoadLastGood());
-      StreamingCdiOptions sopts;
-      sopts.window = day;
-      sopts.pool = ctx.pool;
-      CDIBOT_ASSIGN_OR_RETURN(
-          StreamingCdiEngine revived,
-          StreamingCdiEngine::Restore(ckpt, &catalog, &weights, sopts));
-      stream.emplace(std::move(revived));
-      ++result.restores_completed;
-      return Status::OK();
-    };
+    // lost and the day's final streaming CDI still equals the batch job —
+    // the recovery suite pins this). With watchdog recovery the crash goes
+    // UNHANDLED here: the backpressure queue buffers the traffic and the
+    // watchdog below detects the silence and restores.
     if (store.has_value() && stream.has_value()) {
-      const Deadline save_deadline =
-          options.checkpoint_budget.IsZero()
-              ? Deadline::Infinite()
-              : Deadline::After(options.checkpoint_budget);
-      const Status saved = store->Save(stream->Checkpoint(), save_deadline);
-      if (saved.ok()) {
-        ++result.checkpoints_saved;
-      } else if (store->breaker().enabled() && saved.IsFailedPrecondition()) {
-        // Breaker open: skip this generation instead of failing the day.
-        // Recovery granularity degrades; the CDI keeps flowing.
-        ++result.checkpoints_skipped;
-      } else {
-        return saved;
-      }
+      CDIBOT_RETURN_IF_ERROR(store->Save(stream->Checkpoint()));
+      ++result.checkpoints_saved;
       if (crash_after.count(inc_index) > 0) {
         stream.reset();  // the "crash": all in-memory state is gone
         ++result.crashes_injected;
-        if (!options.watchdog_recovery) {
+        if (!watchdog.has_value()) {
           CDIBOT_RETURN_IF_ERROR(restore_engine());
         }
       }
@@ -436,17 +406,16 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
     // clock outruns the last heartbeat by the stall timeout, the
     // supervisor restores from the last good checkpoint and the pump
     // drains the backlog that accumulated during the outage.
-    if (watchdog.has_value() && watchdog->Poll(sim_now)) {
-      if (!stream.has_value() && store.has_value()) {
-        CDIBOT_RETURN_IF_ERROR(restore_engine());
-        watchdog->NoteRecovery();
-        CDIBOT_RETURN_IF_ERROR(pump());
-      }
+    if (watchdog.has_value() && watchdog->Poll(sim_now) &&
+        !stream.has_value()) {
+      CDIBOT_RETURN_IF_ERROR(restore_engine());
+      CDIBOT_RETURN_IF_ERROR(pump());
     }
 
     // Periodic statusz dump while the day is in flight.
-    if (options.capture_statusz && options.statusz_every_incidents > 0 &&
-        (inc_index + 1) % options.statusz_every_incidents == 0) {
+    if (options.obs.capture_statusz &&
+        options.obs.statusz_every_incidents > 0 &&
+        (inc_index + 1) % options.obs.statusz_every_incidents == 0) {
       CDIBOT_LOG(Info) << "statusz after incident " << (inc_index + 1)
                        << " of " << incidents.size() << ":\n"
                        << obs::RenderStatuszText(obs::CaptureObsSnapshot());
@@ -459,17 +428,7 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
     // stall window not yet elapsed; the day boundary is itself a deadline,
     // so force the restore now rather than lose the backlog.
     if (!stream.has_value() && store.has_value()) {
-      CDIBOT_ASSIGN_OR_RETURN(const StreamCheckpoint ckpt,
-                              store->LoadLastGood());
-      StreamingCdiOptions sopts;
-      sopts.window = day;
-      sopts.pool = ctx.pool;
-      CDIBOT_ASSIGN_OR_RETURN(
-          StreamingCdiEngine revived,
-          StreamingCdiEngine::Restore(ckpt, &catalog, &weights, sopts));
-      stream.emplace(std::move(revived));
-      ++result.restores_completed;
-      if (watchdog.has_value()) watchdog->NoteRecovery();
+      CDIBOT_RETURN_IF_ERROR(restore_engine());
     }
     // Final drain ignores the per-step budget: the day is over and the
     // remaining backlog must land before results are read.
@@ -478,24 +437,18 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
       while (queue->TryPop(&ev)) {
         CDIBOT_RETURN_IF_ERROR(stream->Ingest(ev));
       }
-    }
-    // Surface every shed as a degraded DataQuality annotation on the
-    // affected VM — the day's CDI is partial-but-honest, never silently
-    // short.
-    if (stream.has_value()) {
+      // Surface every shed as a degraded DataQuality annotation on the
+      // affected VM — the day's CDI is partial-but-honest, never silently
+      // short.
       for (const auto& [target, count] : shed_counts) {
         stream->RecordShed(target, count);
       }
     }
     result.flow_stats = queue->stats();
-    result.events_shed = result.flow_stats.shed_total;
   }
   if (watchdog.has_value()) {
     result.watchdog_stalls = watchdog->stats().stalls;
     result.watchdog_recoveries = watchdog->stats().recoveries;
-  }
-  if (store.has_value()) {
-    result.breaker_trips = store->breaker().stats().trips;
   }
 
   // --- Evaluate the day with the standard pipeline ---------------------------
@@ -506,35 +459,31 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   CDIBOT_ASSIGN_OR_RETURN(const DailyCdiResult daily, job.Run(vms, day));
   result.fleet_cdi = daily.fleet;
 
+  // Every live-engine read goes through the one read facade. A fresh
+  // fleet query is exactly the source's settled snapshot (same pull, same
+  // fold, same bits) packaged as the response every consumer gets.
+  auto read_fleet = [&result](serve::CdiReadSource* source) -> StatusOr<VmCdi> {
+    serve::CdiQueryService service(source);
+    serve::CdiQuery q;
+    q.consistency = serve::Consistency::kFresh;
+    CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse resp,
+                            service.Query(q));
+    const serve::ServeStats s = service.stats();
+    result.serve_stats.queries += s.queries;
+    result.serve_stats.cache_hits += s.cache_hits;
+    result.serve_stats.cube_answers += s.cube_answers;
+    result.serve_stats.source_pulls += s.source_pulls;
+    result.serve_stats.deadline_rejections += s.deadline_rejections;
+    return resp.fleet;
+  };
   if (stream.has_value()) {
-    if (stream_service.has_value()) {
-      // A fresh fleet-only query: the same bits as the engine's FleetCdi().
-      serve::CdiQuery q;
-      q.consistency = serve::Consistency::kFresh;
-      CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse fleet_resp,
-                              stream_service->Query(q));
-      result.fleet_cdi_streaming = fleet_resp.fleet;
-    } else {
-      CDIBOT_ASSIGN_OR_RETURN(const VmCdi fleet_stream, stream->FleetCdi());
-      result.fleet_cdi_streaming = fleet_stream;
-    }
+    serve::EngineSource source(&*stream);
+    CDIBOT_ASSIGN_OR_RETURN(result.fleet_cdi_streaming, read_fleet(&source));
     result.stream_stats = stream->stats();
   }
-
   if (sharded != nullptr) {
-    if (shard_service.has_value()) {
-      // A fresh query is exactly the coordinator's Snapshot() gather: same
-      // scatter, same fold, same bits.
-      serve::CdiQuery q;
-      q.consistency = serve::Consistency::kFresh;
-      CDIBOT_ASSIGN_OR_RETURN(const serve::CdiQueryResponse sharded_resp,
-                              shard_service->Query(q));
-      result.fleet_cdi_sharded = sharded_resp.fleet;
-    } else {
-      CDIBOT_ASSIGN_OR_RETURN(const DailyCdiResult sharded_day,
-                              sharded->Snapshot());
-      result.fleet_cdi_sharded = sharded_day.fleet;
-    }
+    serve::CoordinatorSource source(sharded.get());
+    CDIBOT_ASSIGN_OR_RETURN(result.fleet_cdi_sharded, read_fleet(&source));
     result.shard_stats = sharded->stats();
   }
 
@@ -543,36 +492,37 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // (an open span never records), and the pull itself must run while the
   // coordinator still holds live sessions to its workers.
   if (fleet_obs && sharded != nullptr) {
-    const bool pull_spans = !options.merged_trace_path.empty();
+    const bool pull_spans = !options.obs.merged_trace_path.empty();
     CDIBOT_ASSIGN_OR_RETURN(std::vector<obs::ProcessObs> workers,
                             sharded->PullWorkerObs(pull_spans));
     const obs::FleetObsSnapshot fleet_snap =
         obs::CaptureFleetObsSnapshot(std::move(workers));
-    if (options.fleet_statusz) {
+    if (options.obs.fleet_statusz) {
       result.fleet_statusz_text = obs::RenderFleetStatuszText(fleet_snap);
       result.fleet_statusz_json = obs::RenderFleetStatuszJson(fleet_snap);
     }
-    if (!options.merged_trace_path.empty()) {
+    if (!options.obs.merged_trace_path.empty()) {
       std::string trace_error;
       if (!obs::WriteMergedChromeTrace(fleet_snap,
-                                       options.merged_trace_path,
+                                       options.obs.merged_trace_path,
                                        &trace_error)) {
         CDIBOT_LOG(Warning) << "could not write merged trace to "
-                            << options.merged_trace_path << ": "
+                            << options.obs.merged_trace_path << ": "
                             << trace_error;
       }
     }
   }
-  if (!options.trace_json_path.empty()) {
+  if (!options.obs.trace_json_path.empty()) {
     std::string trace_error;
-    if (!obs::Tracer::Global().WriteChromeTrace(options.trace_json_path,
+    if (!obs::Tracer::Global().WriteChromeTrace(options.obs.trace_json_path,
                                                 &trace_error)) {
       CDIBOT_LOG(Warning) << "could not write trace to "
-                          << options.trace_json_path << ": " << trace_error;
+                          << options.obs.trace_json_path << ": "
+                          << trace_error;
     }
   }
-  if (want_tracing && !tracer_was_enabled) obs::Tracer::Global().Disable();
-  if (options.capture_statusz) {
+  tracing.End();
+  if (options.obs.capture_statusz) {
     result.statusz_text = obs::RenderStatuszText(obs::CaptureObsSnapshot());
   }
 
@@ -591,27 +541,6 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
     result.heatmap_json = serve::RenderHeatmapJson(spec, grid);
   }
 
-  if (options.serve_reads) {
-    const auto add_service = [&result](const serve::CdiQueryService& svc) {
-      const serve::ServeStats s = svc.stats();
-      result.serve_stats.queries += s.queries;
-      result.serve_stats.cache_hits += s.cache_hits;
-      result.serve_stats.cube_answers += s.cube_answers;
-      result.serve_stats.source_pulls += s.source_pulls;
-      result.serve_stats.deadline_rejections += s.deadline_rejections;
-      const serve::CacheStats c = svc.cache_stats();
-      result.serve_cache_stats.lookups += c.lookups;
-      result.serve_cache_stats.hits += c.hits;
-      result.serve_cache_stats.stale_rejections += c.stale_rejections;
-      result.serve_cache_stats.misses += c.misses;
-      result.serve_cache_stats.insertions += c.insertions;
-      result.serve_cache_stats.evictions += c.evictions;
-      result.serve_cache_stats.ghost_hits += c.ghost_hits;
-      result.serve_cache_stats.resident += c.resident;
-    };
-    if (stream_service.has_value()) add_service(*stream_service);
-    if (shard_service.has_value()) add_service(*shard_service);
-  }
   return result;
 }
 

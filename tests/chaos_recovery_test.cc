@@ -289,12 +289,7 @@ class SupervisedLoopTest : public ::testing::Test {
 TEST_F(SupervisedLoopTest, SupervisorOptionsAreValidated) {
   Rng rng(1);
   AutomationLoopOptions options;
-  options.supervise_streaming = true;  // but streaming_cdi is off
-  EXPECT_TRUE(RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
-                               *weights_, options, &rng)
-                  .status()
-                  .IsInvalidArgument());
-  options.streaming_cdi = true;  // still no checkpoint_dir
+  options.streaming.emplace().supervisor.emplace();  // no checkpoint_dir
   EXPECT_TRUE(RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                *weights_, options, &rng)
                   .status()
@@ -306,10 +301,8 @@ TEST_F(SupervisedLoopTest, CrashInjectedLoopStillMatchesBatch) {
   std::filesystem::remove_all(dir);
 
   AutomationLoopOptions options;
-  options.streaming_cdi = true;
-  options.supervise_streaming = true;
-  options.checkpoint_dir = dir;
-  options.supervisor_crashes = 2;
+  options.streaming.emplace().supervisor = {.checkpoint_dir = dir,
+                                            .crashes = 2};
   options.incident_probability = 0.3;
   Rng rng(42);
   auto result = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
@@ -324,13 +317,15 @@ TEST_F(SupervisedLoopTest, CrashInjectedLoopStillMatchesBatch) {
   EXPECT_EQ(result->restores_completed, 2u);
 
   // Crash-restore did not change the answer: the streaming CDI still
-  // matches the batch job over the same day.
-  EXPECT_NEAR(result->fleet_cdi_streaming.performance,
-              result->fleet_cdi.performance, 1e-9);
-  EXPECT_NEAR(result->fleet_cdi_streaming.unavailability,
-              result->fleet_cdi.unavailability, 1e-9);
-  EXPECT_NEAR(result->fleet_cdi_streaming.control_plane,
-              result->fleet_cdi.control_plane, 1e-9);
+  // equals the batch job over the same day, bit for bit.
+  EXPECT_EQ(result->fleet_cdi_streaming.performance,
+            result->fleet_cdi.performance);
+  EXPECT_EQ(result->fleet_cdi_streaming.unavailability,
+            result->fleet_cdi.unavailability);
+  EXPECT_EQ(result->fleet_cdi_streaming.control_plane,
+            result->fleet_cdi.control_plane);
+  EXPECT_EQ(result->fleet_cdi_streaming.service_time,
+            result->fleet_cdi.service_time);
 }
 
 }  // namespace

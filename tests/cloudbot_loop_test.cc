@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace.h"
 #include "sim/cloudbot_loop.h"
 #include "strict_json.h"
 
@@ -16,6 +17,26 @@ namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
+
+// Bit-exact equality of two fleet CDIs: the topologies share one exact,
+// order-free fleet fold, so "close" would hide a real divergence.
+void ExpectSameCdi(const VmCdi& want, const VmCdi& got, const char* what) {
+  EXPECT_EQ(want.unavailability, got.unavailability) << what;
+  EXPECT_EQ(want.performance, got.performance) << what;
+  EXPECT_EQ(want.control_plane, got.control_plane) << what;
+  EXPECT_EQ(want.service_time, got.service_time) << what;
+}
+
+// The kInit weight recipe matching the fixture's EventWeightModel: the
+// workers' BuildWeightModel runs the identical arithmetic, so the CDI
+// doubles agree exactly across the process boundary.
+shard::WeightSpec FixtureWeightSpec() {
+  shard::WeightSpec spec;
+  spec.ticket_counts = {
+      {"slow_io", 100}, {"nic_flapping", 30}, {"live_migration", 5}};
+  spec.ticket_levels = 4;
+  return spec;
+}
 
 class CloudBotLoopTest : public ::testing::Test {
  protected:
@@ -42,10 +63,40 @@ TEST_F(CloudBotLoopTest, Validation) {
   Rng rng(1);
   AutomationLoopOptions options;
   options.tick = Duration::Zero();
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
   EXPECT_TRUE(RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                *weights_, options, &rng)
                   .status()
                   .IsInvalidArgument());
+  EXPECT_TRUE(AutomationLoopOptions{}.Validate().ok());
+}
+
+// A rejected run returns before it touches the global tracer, whichever
+// state the caller left it in.
+TEST_F(CloudBotLoopTest, RejectedRunLeavesTracerAsItFoundIt) {
+  AutomationLoopOptions options;
+  options.obs.trace_json_path = ::testing::TempDir() + "/rejected_trace.json";
+  options.streaming.emplace().supervisor.emplace();  // no checkpoint_dir
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool was_enabled = tracer.enabled();
+  for (const bool start_enabled : {false, true}) {
+    if (start_enabled) {
+      tracer.Enable();
+    } else {
+      tracer.Disable();
+    }
+    Rng rng(1);
+    EXPECT_TRUE(RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
+                                 *weights_, options, &rng)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_EQ(tracer.enabled(), start_enabled);
+  }
+  if (was_enabled) {
+    tracer.Enable();
+  } else {
+    tracer.Disable();
+  }
 }
 
 TEST_F(CloudBotLoopTest, AutomationReducesCdi) {
@@ -131,26 +182,19 @@ TEST_F(CloudBotLoopTest, FullFleetBlocksMigrations) {
 TEST_F(CloudBotLoopTest, ShardedModeMatchesStreamingBitExactly) {
   AutomationLoopOptions options;
   options.incident_probability = 0.4;  // enough events to make ties matter
-  options.streaming_cdi = true;
-  options.sharded_cdi = true;
-  options.cdi_shards = 3;
-  options.shard_rebalance_midday = true;
+  options.streaming.emplace();
+  options.sharded = {.shards = 3, .rebalance_midday = true};
   Rng rng(11);
   auto result = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                  *weights_, options, &rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->incidents, 0u);
   // The streaming side answers from its engine's shard-partial merge, the
-  // sharded side re-folds the gathered rows: the fleet fold is exact, so
-  // the two are bit-identical, not merely close.
-  EXPECT_EQ(result->fleet_cdi_sharded.unavailability,
-            result->fleet_cdi_streaming.unavailability);
-  EXPECT_EQ(result->fleet_cdi_sharded.performance,
-            result->fleet_cdi_streaming.performance);
-  EXPECT_EQ(result->fleet_cdi_sharded.control_plane,
-            result->fleet_cdi_streaming.control_plane);
-  EXPECT_EQ(result->fleet_cdi_sharded.service_time,
-            result->fleet_cdi_streaming.service_time);
+  // sharded side re-folds the gathered rows, the batch job folds its own
+  // rows: the fleet fold is exact, so all three are bit-identical, not
+  // merely close.
+  ExpectSameCdi(result->fleet_cdi, result->fleet_cdi_streaming, "streaming");
+  ExpectSameCdi(result->fleet_cdi, result->fleet_cdi_sharded, "sharded");
   EXPECT_EQ(result->shard_stats.num_shards, 3u);
   EXPECT_EQ(result->shard_stats.shards_alive, 3u);
   EXPECT_EQ(result->shard_stats.rebalances, 1u);
@@ -165,33 +209,19 @@ TEST_F(CloudBotLoopTest, MultiProcessShardedModeMatchesStreamingBitExactly) {
   ASSERT_FALSE(binary.empty()) << "SHARD_WORKER_BIN not baked in";
   AutomationLoopOptions options;
   options.incident_probability = 0.4;
-  options.streaming_cdi = true;
-  options.sharded_cdi = true;
-  options.cdi_shards = 2;
-  options.shard_rebalance_midday = true;
-  options.shard_transport = shard::ShardTransportMode::kSocketProcess;
-  options.shard_worker_binary = binary;
-  // The same recipe the fixture's EventWeightModel was built from: the
-  // workers' BuildWeightModel runs the identical arithmetic, so the CDI
-  // doubles agree exactly across the process boundary.
-  shard::WeightSpec spec;
-  spec.ticket_counts = {
-      {"slow_io", 100}, {"nic_flapping", 30}, {"live_migration", 5}};
-  spec.ticket_levels = 4;
-  options.shard_weight_spec = spec;
+  options.streaming.emplace();
+  options.sharded = {.shards = 2,
+                     .transport = shard::ShardTransportMode::kSocketProcess,
+                     .worker_binary = binary,
+                     .weight_spec = FixtureWeightSpec(),
+                     .rebalance_midday = true};
   Rng rng(11);
   auto result = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                  *weights_, options, &rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->incidents, 0u);
-  EXPECT_EQ(result->fleet_cdi_sharded.unavailability,
-            result->fleet_cdi_streaming.unavailability);
-  EXPECT_EQ(result->fleet_cdi_sharded.performance,
-            result->fleet_cdi_streaming.performance);
-  EXPECT_EQ(result->fleet_cdi_sharded.control_plane,
-            result->fleet_cdi_streaming.control_plane);
-  EXPECT_EQ(result->fleet_cdi_sharded.service_time,
-            result->fleet_cdi_streaming.service_time);
+  ExpectSameCdi(result->fleet_cdi, result->fleet_cdi_streaming, "streaming");
+  ExpectSameCdi(result->fleet_cdi, result->fleet_cdi_sharded, "sharded");
   EXPECT_EQ(result->shard_stats.shards_alive, 2u);
   EXPECT_GT(result->shard_stats.events_routed, 0u);
 }
@@ -205,20 +235,15 @@ TEST_F(CloudBotLoopTest, MultiProcessFleetStatuszAndMergedTrace) {
   ASSERT_FALSE(binary.empty()) << "SHARD_WORKER_BIN not baked in";
   AutomationLoopOptions options;
   options.incident_probability = 0.4;
-  options.streaming_cdi = true;
-  options.sharded_cdi = true;
-  options.cdi_shards = 2;
-  options.shard_transport = shard::ShardTransportMode::kSocketProcess;
-  options.shard_worker_binary = binary;
-  shard::WeightSpec spec;
-  spec.ticket_counts = {
-      {"slow_io", 100}, {"nic_flapping", 30}, {"live_migration", 5}};
-  spec.ticket_levels = 4;
-  options.shard_weight_spec = spec;
-  options.fleet_statusz = true;
+  options.streaming.emplace();
+  options.sharded = {.shards = 2,
+                     .transport = shard::ShardTransportMode::kSocketProcess,
+                     .worker_binary = binary,
+                     .weight_spec = FixtureWeightSpec()};
+  options.obs.fleet_statusz = true;
   const std::string trace_path =
       ::testing::TempDir() + "/sim_merged_trace.json";
-  options.merged_trace_path = trace_path;
+  options.obs.merged_trace_path = trace_path;
   Rng rng(11);
   auto result = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                  *weights_, options, &rng);
@@ -275,65 +300,45 @@ TEST_F(CloudBotLoopTest, MultiProcessFleetStatuszAndMergedTrace) {
 // metric (all shards share this registry); the loop must refuse it.
 TEST_F(CloudBotLoopTest, FleetStatuszRequiresMultiProcessTransport) {
   AutomationLoopOptions options;
-  options.streaming_cdi = true;
-  options.sharded_cdi = true;
-  options.cdi_shards = 2;
-  options.fleet_statusz = true;  // default kInProcess transport
+  options.streaming.emplace();
+  options.sharded = {.shards = 2};  // default kInProcess transport
+  options.obs.fleet_statusz = true;
   Rng rng(3);
   EXPECT_TRUE(RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
                                *weights_, options, &rng)
                   .status()
                   .IsInvalidArgument());
+  // No sharded fleet at all is refused the same way, for either output.
+  AutomationLoopOptions unsharded;
+  unsharded.obs.merged_trace_path = ::testing::TempDir() + "/never.json";
+  EXPECT_TRUE(unsharded.Validate().IsInvalidArgument());
 }
 
-// Routing the loop's reads through the serve::CdiQueryService facade must
-// not change a single bit of the day's numbers — the facade is a caching
-// layer over the same engines, and the serve differential suite pins the
-// cache itself. Also drives the heatmap endpoint end to end: the rendered
-// grid must survive the strict RFC 8259 parser and carry all three planes.
-TEST_F(CloudBotLoopTest, ServeReadsMatchDirectReadsBitExactly) {
-  AutomationLoopOptions direct;
-  direct.incident_probability = 0.4;
-  direct.streaming_cdi = true;
-  direct.sharded_cdi = true;
-  direct.cdi_shards = 2;
-  AutomationLoopOptions facade = direct;
-  facade.serve_reads = true;
-  facade.heatmap_group_dim = "cluster";
-  facade.heatmap_buckets = 12;
-
-  Rng rng_direct(11), rng_facade(11);
-  auto want = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
-                               *weights_, direct, &rng_direct);
+// Every live read the loop makes goes through the serve::CdiQueryService
+// facade, a caching layer over the same engines; its answers must equal
+// the batch job bit for bit (the serve differential suite pins the cache
+// itself). Also drives the heatmap endpoint end to end: the rendered grid
+// must survive the strict RFC 8259 parser and carry all three planes.
+TEST_F(CloudBotLoopTest, FacadeReadsMatchBatchBitExactly) {
+  AutomationLoopOptions options;
+  options.incident_probability = 0.4;
+  options.streaming.emplace();
+  options.sharded = {.shards = 2};
+  options.heatmap_group_dim = "cluster";
+  options.heatmap_buckets = 12;
+  Rng rng(11);
   auto got = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
-                              *weights_, facade, &rng_facade);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
+                              *weights_, options, &rng);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_GT(got->incidents, 0u);
 
-  EXPECT_EQ(want->fleet_cdi_streaming.unavailability,
-            got->fleet_cdi_streaming.unavailability);
-  EXPECT_EQ(want->fleet_cdi_streaming.performance,
-            got->fleet_cdi_streaming.performance);
-  EXPECT_EQ(want->fleet_cdi_streaming.control_plane,
-            got->fleet_cdi_streaming.control_plane);
-  EXPECT_EQ(want->fleet_cdi_streaming.service_time,
-            got->fleet_cdi_streaming.service_time);
-  EXPECT_EQ(want->fleet_cdi_sharded.unavailability,
-            got->fleet_cdi_sharded.unavailability);
-  EXPECT_EQ(want->fleet_cdi_sharded.performance,
-            got->fleet_cdi_sharded.performance);
-  EXPECT_EQ(want->fleet_cdi_sharded.control_plane,
-            got->fleet_cdi_sharded.control_plane);
-  EXPECT_EQ(want->fleet_cdi_sharded.service_time,
-            got->fleet_cdi_sharded.service_time);
-
-  EXPECT_GT(got->serve_stats.queries, 0u);
-  EXPECT_GT(got->serve_stats.source_pulls, 0u);
-  EXPECT_EQ(want->serve_stats.queries, 0u);  // direct arm never serves
+  ExpectSameCdi(got->fleet_cdi, got->fleet_cdi_streaming, "streaming");
+  ExpectSameCdi(got->fleet_cdi, got->fleet_cdi_sharded, "sharded");
+  // One fresh fleet query per topology, each answered by one source pull.
+  EXPECT_EQ(got->serve_stats.queries, 2u);
+  EXPECT_EQ(got->serve_stats.source_pulls, 2u);
 
   ASSERT_FALSE(got->heatmap_json.empty());
-  EXPECT_TRUE(want->heatmap_json.empty());
   testjson::JsonValue grid;
   std::string error;
   ASSERT_TRUE(testjson::ParseStrictJson(got->heatmap_json, &grid, &error))
@@ -342,6 +347,15 @@ TEST_F(CloudBotLoopTest, ServeReadsMatchDirectReadsBitExactly) {
     const testjson::JsonValue* rows = grid.Find(plane);
     ASSERT_NE(rows, nullptr) << plane;
   }
+
+  // Without a group dimension the heatmap endpoint stays off.
+  AutomationLoopOptions plain = options;
+  plain.heatmap_group_dim.clear();
+  Rng rng_plain(11);
+  auto without = RunAutomationDay(*fleet_, T("2024-01-01 00:00"), catalog_,
+                                  *weights_, plain, &rng_plain);
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  EXPECT_TRUE(without->heatmap_json.empty());
 }
 
 TEST_F(CloudBotLoopTest, ZeroIncidentProbabilityIsCleanDay) {

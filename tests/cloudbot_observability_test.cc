@@ -33,13 +33,12 @@ TEST(CloudBotObservabilityTest, StatuszCoversPipelineAndTraceIsWritten) {
   const std::string trace_path =
       ::testing::TempDir() + "/cloudbot_obs_trace.json";
   AutomationLoopOptions options;
-  options.streaming_cdi = true;
-  options.supervise_streaming = true;
-  options.checkpoint_dir = ::testing::TempDir() + "/cloudbot_obs_ckpt";
-  options.supervisor_crashes = 1;
+  options.streaming.emplace().supervisor = {
+      .checkpoint_dir = ::testing::TempDir() + "/cloudbot_obs_ckpt",
+      .crashes = 1};
   options.incident_probability = 0.3;
-  options.capture_statusz = true;
-  options.trace_json_path = trace_path;
+  options.obs.capture_statusz = true;
+  options.obs.trace_json_path = trace_path;
 
   Rng rng(11);
   auto result = RunAutomationDay(fleet, T("2024-03-01 00:00"), catalog,

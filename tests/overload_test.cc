@@ -152,11 +152,10 @@ TEST_P(FlowDifferentialTest, QueueThatKeepsUpIsBitIdenticalToDirectPath) {
   const EventCatalog catalog = EventCatalog::BuiltIn();
 
   AutomationLoopOptions direct;
-  direct.streaming_cdi = true;
+  direct.streaming.emplace();
   AutomationLoopOptions flow = direct;
-  flow.flow_control = true;
-  flow.flow_options.capacity = 1 << 16;  // never under pressure
-  flow.flow_drain_per_step = 0;          // pump drains fully
+  flow.streaming->flow = {.queue = {.capacity = 1 << 16},  // never pressed
+                          .drain_per_step = 0};  // pump drains fully
 
   Rng rng_direct(seed), rng_flow(seed);
   auto base = RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog, weights,
@@ -168,7 +167,6 @@ TEST_P(FlowDifferentialTest, QueueThatKeepsUpIsBitIdenticalToDirectPath) {
 
   // Admission control was armed the whole day and never fired...
   EXPECT_EQ(gated->flow_stats.shed_total, 0u);
-  EXPECT_EQ(gated->events_shed, 0u);
   EXPECT_EQ(gated->flow_stats.full_rejections, 0u);
   // ...and the streaming CDI is bit-identical to the direct path.
   EXPECT_EQ(gated->fleet_cdi_streaming.unavailability,
@@ -180,8 +178,17 @@ TEST_P(FlowDifferentialTest, QueueThatKeepsUpIsBitIdenticalToDirectPath) {
   EXPECT_EQ(gated->stream_stats.events_ingested,
             base->stream_stats.events_ingested);
   EXPECT_EQ(gated->stream_stats.events_shed, 0u);
-  // The batch job is unaffected by the flow path either way.
+  EXPECT_EQ(gated->fleet_cdi_streaming.service_time,
+            base->fleet_cdi_streaming.service_time);
+  // The batch job is unaffected by the flow path either way, and the gated
+  // stream equals it bit for bit.
   EXPECT_EQ(gated->fleet_cdi.performance, base->fleet_cdi.performance);
+  EXPECT_EQ(gated->fleet_cdi_streaming.unavailability,
+            gated->fleet_cdi.unavailability);
+  EXPECT_EQ(gated->fleet_cdi_streaming.performance,
+            gated->fleet_cdi.performance);
+  EXPECT_EQ(gated->fleet_cdi_streaming.control_plane,
+            gated->fleet_cdi.control_plane);
 }
 
 INSTANTIATE_TEST_SUITE_P(TwentyFourSeeds, FlowDifferentialTest,
@@ -282,26 +289,24 @@ TEST_F(OverloadTest, SurgeOverloadInSimLoopShedsOnlySheddableClasses) {
   const EventCatalog catalog = EventCatalog::BuiltIn();
 
   AutomationLoopOptions options;
-  options.streaming_cdi = true;
-  options.flow_control = true;
   options.incident_probability = 0.5;  // a heavy day
-  options.flow_options.capacity = 64;  // tiny queue
-  options.flow_drain_per_step = 16;    // slow consumer
+  options.streaming.emplace().flow = {
+      .queue = {.capacity = 64},  // tiny queue
+      .drain_per_step = 16};      // slow consumer
   Rng rng(99);
   auto result = RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog,
                                  weights, options, &rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT(result->incidents, 0u);
   // The slow consumer forced real shedding...
-  EXPECT_GT(result->events_shed, 0u);
-  EXPECT_EQ(result->events_shed, result->flow_stats.shed_total);
+  EXPECT_GT(result->flow_stats.shed_total, 0u);
   // ...bounded by the queue, never of unavailability class...
   EXPECT_LE(result->flow_stats.peak_depth, 64u);
   EXPECT_EQ(result->flow_stats.shed_by_class[static_cast<int>(
                 flow::FlowClass::kUnavailability)],
             0u);
   // ...and the engine's quality accounting saw every shed.
-  EXPECT_EQ(result->stream_stats.events_shed, result->events_shed);
+  EXPECT_EQ(result->stream_stats.events_shed, result->flow_stats.shed_total);
 }
 
 // --- Flapping checkpoint sink: the breaker caps retry amplification ---------
@@ -420,14 +425,13 @@ TEST_F(OverloadTest, WatchdogDetectsCrashedEngineAndRestoresFromCheckpoint) {
   const EventCatalog catalog = EventCatalog::BuiltIn();
 
   AutomationLoopOptions supervised;
-  supervised.streaming_cdi = true;
-  supervised.supervise_streaming = true;
-  supervised.checkpoint_dir = FreshDir("watchdog-loop");
-  supervised.supervisor_crashes = 1;
-  supervised.flow_control = true;
-  supervised.flow_options.capacity = 1 << 16;  // buffer the whole outage
-  supervised.watchdog_recovery = true;
-  supervised.watchdog_stall_timeout = Duration::Minutes(30);
+  supervised.streaming.emplace();
+  supervised.streaming->supervisor = {
+      .checkpoint_dir = FreshDir("watchdog-loop"),
+      .crashes = 1,
+      .watchdog_stall_timeout = Duration::Minutes(30)};
+  // Buffer the whole outage.
+  supervised.streaming->flow = {.queue = {.capacity = 1 << 16}};
   supervised.incident_probability = 0.3;  // enough incidents after the crash
   Rng rng(5);
   auto result = RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog,
@@ -439,11 +443,20 @@ TEST_F(OverloadTest, WatchdogDetectsCrashedEngineAndRestoresFromCheckpoint) {
   EXPECT_GE(result->watchdog_recoveries, 1u);
   EXPECT_GE(result->restores_completed, 1u);
   // ...nothing was lost while the engine was down...
-  EXPECT_EQ(result->events_shed, 0u);
+  EXPECT_EQ(result->flow_stats.shed_total, 0u);
+  // ...the day ends bit-exactly on the batch job's answer...
+  EXPECT_EQ(result->fleet_cdi_streaming.unavailability,
+            result->fleet_cdi.unavailability);
+  EXPECT_EQ(result->fleet_cdi_streaming.performance,
+            result->fleet_cdi.performance);
+  EXPECT_EQ(result->fleet_cdi_streaming.control_plane,
+            result->fleet_cdi.control_plane);
+  EXPECT_EQ(result->fleet_cdi_streaming.service_time,
+            result->fleet_cdi.service_time);
 
-  // ...and the day ends exactly where an uninterrupted streaming run ends.
+  // ...and exactly where an uninterrupted streaming run ends.
   AutomationLoopOptions plain;
-  plain.streaming_cdi = true;
+  plain.streaming.emplace();
   plain.incident_probability = supervised.incident_probability;
   Rng rng_plain(5);
   auto baseline = RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog,
@@ -471,16 +484,10 @@ TEST_F(OverloadTest, FlowOptionValidation) {
   const EventCatalog catalog = EventCatalog::BuiltIn();
   Rng rng(1);
 
-  AutomationLoopOptions no_stream;
-  no_stream.flow_control = true;  // but streaming_cdi is off
-  EXPECT_TRUE(RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog, weights,
-                               no_stream, &rng)
-                  .status()
-                  .IsInvalidArgument());
-
   AutomationLoopOptions no_flow;
-  no_flow.streaming_cdi = true;
-  no_flow.watchdog_recovery = true;  // but flow_control is off
+  no_flow.streaming.emplace().supervisor = {
+      .checkpoint_dir = FreshDir("watchdog-no-flow"),
+      .watchdog_stall_timeout = Duration::Minutes(30)};  // but no flow queue
   EXPECT_TRUE(RunAutomationDay(fleet, T("2026-07-01 00:00"), catalog, weights,
                                no_flow, &rng)
                   .status()

@@ -1,14 +1,17 @@
 // Unit tests for the shard map and coordinator, plus the TSan-targeted
 // *Concurrent* suite (gathers racing ingest, rebalance, shard failure and
-// recovery). The concurrent tests are written to race if the coordinator's
-// locking does: gathers take the topology lock shared while rebalance /
-// failure / recovery take it exclusive, and each shard channel is
-// serialized by a per-handle mutex. scripts/check.sh runs the *Concurrent*
-// filter under TSan as the referee.
+// recovery, and the heartbeat prober racing caller RPCs). The concurrent
+// tests are written to race if the coordinator's locking does: gathers
+// take the topology lock shared while rebalance / failure / recovery take
+// it exclusive, and each shard channel is serialized by a per-handle
+// mutex. scripts/check.sh runs the *Concurrent* filter under TSan as the
+// referee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -188,8 +191,8 @@ class ShardCoordinatorTest : public ::testing::Test {
                     TimePoint::Parse("2026-03-11 00:00").value());
   }
 
-  std::unique_ptr<ShardCoordinator> MakeFleet(size_t shards, int vms) {
-    ShardTopologyOptions topo;
+  std::unique_ptr<ShardCoordinator> MakeFleet(
+      size_t shards, int vms, ShardTopologyOptions topo = {}) {
     topo.num_shards = shards;
     topo.engine.window = day_;
     auto coord = ShardCoordinator::Create(&catalog_, &*weights_, topo);
@@ -490,6 +493,104 @@ TEST_F(ShardCoordinatorTest, ConcurrentRegistrationRacesGathers) {
   auto snap = coord->Snapshot();
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ(snap->vms_evaluated, 30u);
+}
+
+/// Coordinator-side transport that, while `*partitioned` is set, fails
+/// every receive: requests still reach the worker, but no answer gets back.
+class PartitionableTransport final : public Transport {
+ public:
+  PartitionableTransport(std::unique_ptr<Transport> inner,
+                         std::shared_ptr<std::atomic<bool>> partitioned)
+      : inner_(std::move(inner)), partitioned_(std::move(partitioned)) {}
+
+  Status Send(std::string frame) override {
+    return inner_->Send(std::move(frame));
+  }
+  StatusOr<std::string> Recv(const Deadline& deadline) override {
+    if (partitioned_->load()) return Status::Unavailable("partitioned");
+    return inner_->Recv(deadline);
+  }
+  void Close() override { inner_->Close(); }
+  bool closed() const override { return inner_->closed(); }
+  size_t inbound_depth() const override { return inner_->inbound_depth(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::shared_ptr<std::atomic<bool>> partitioned_;
+};
+
+/// Polls `done` every millisecond for up to ten seconds.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The heartbeat prober over real sockets: it pings idle shards, shares each
+// shard's handle lock with caller RPCs (under TSan this races the probe
+// thread against gathers and ingest), and counts a failed probe, dropping
+// only the connection. The worker thread outlives the drop, so the next
+// call redials and resumes the session with the fleet's answer unchanged.
+TEST_F(ShardCoordinatorTest, ConcurrentHeartbeatsProbeIdleShardsAndRecover) {
+  auto partitioned = std::make_shared<std::atomic<bool>>(false);
+  ShardTopologyOptions topo;
+  topo.transport = ShardTransportMode::kSocketThread;
+  topo.session.heartbeat_interval = Duration::Millis(5);
+  topo.transport_decorator = [partitioned](
+                                 std::unique_ptr<SocketTransport> conn,
+                                 size_t /*shard*/) {
+    return std::unique_ptr<Transport>(
+        new PartitionableTransport(std::move(conn), partitioned));
+  };
+  auto coord = MakeFleet(2, 8, std::move(topo));
+  const auto ids = Ids(8);
+
+  // Idle fleet: the prober alone drives heartbeats up.
+  ASSERT_TRUE(Eventually([&] { return coord->stats().heartbeats >= 4; }));
+
+  // Caller traffic racing the prober for the handle locks.
+  const uint64_t beats_before = coord->stats().heartbeats;
+  std::atomic<int> gather_errors{0};
+  std::thread gatherer([&] {
+    for (int i = 0; i < 32; ++i) {
+      if (!coord->Snapshot().ok()) gather_errors.fetch_add(1);
+    }
+  });
+  for (size_t m = 0; m < 64; ++m) {
+    ASSERT_TRUE(
+        coord->Ingest(Event(ids[m % ids.size()], static_cast<int64_t>(m) * 7))
+            .ok());
+  }
+  ASSERT_TRUE(coord->Flush().ok());
+  gatherer.join();
+  EXPECT_EQ(gather_errors.load(), 0);
+  ASSERT_TRUE(
+      Eventually([&] { return coord->stats().heartbeats > beats_before; }));
+  auto before = coord->Snapshot();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // A probe whose answer never arrives is a heartbeat failure, and only
+  // that: the connection is dropped, the shard stays alive.
+  partitioned->store(true);
+  ASSERT_TRUE(
+      Eventually([&] { return coord->stats().heartbeat_failures > 0; }));
+  partitioned->store(false);
+  EXPECT_EQ(coord->stats().shard_failures, 0u);
+  EXPECT_TRUE(coord->ShardAlive(0));
+  EXPECT_TRUE(coord->ShardAlive(1));
+
+  auto after = coord->Snapshot();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(coord->stats().reconnects, 0u);
+  EXPECT_EQ(after->fleet.unavailability, before->fleet.unavailability);
+  EXPECT_EQ(after->fleet.performance, before->fleet.performance);
+  EXPECT_EQ(after->fleet.control_plane, before->fleet.control_plane);
+  EXPECT_EQ(after->vms_evaluated, before->vms_evaluated);
 }
 
 }  // namespace

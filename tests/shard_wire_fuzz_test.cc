@@ -105,7 +105,6 @@ class WireFuzzTest : public ::testing::Test {
         {"extract_open", shard::EncodeExtractRange(1008, "vm-a", std::nullopt)},
         {"install_vms", shard::EncodeInstallVms(1009, ckpt_)},
         {"expect_delivery", shard::EncodeExpectDelivery(1010, "vm-a", 3)},
-        {"record_shed", shard::EncodeRecordShed(1011, "vm-a", 2)},
         {"advance_watermark",
          shard::EncodeAdvanceWatermark(1012, TimePoint::FromMillis(43200000))},
         {"checkpoint", shard::EncodeCheckpointRequest(1013)},
@@ -176,6 +175,31 @@ TEST_F(WireFuzzTest, EveryRequestPrefixTruncationAnswersCleanError) {
           << f.name << " truncated to " << len << ": " << st.ToString();
     }
   }
+}
+
+// Tag 8 belonged to the retired admission-queue shed report. It stays
+// reserved: both header decoders reject it like any unknown tag, and the
+// worker answers it with an error instead of dispatching it.
+TEST_F(WireFuzzTest, RetiredKindTagIsRejectedLikeAnyUnknownTag) {
+  EXPECT_FALSE(shard::IsMessageKind(0));
+  EXPECT_FALSE(shard::IsMessageKind(8));
+  EXPECT_FALSE(shard::IsMessageKind(
+      static_cast<uint32_t>(shard::MessageKind::kObsSnapshot) + 1));
+  EXPECT_TRUE(shard::IsMessageKind(7));
+  EXPECT_TRUE(shard::IsMessageKind(9));
+  // The kind tag is the little-endian u32 right after the u64 request id,
+  // in request and response frames alike.
+  const auto retag = [](std::string frame, uint32_t tag) {
+    for (int b = 0; b < 4; ++b) {
+      frame[8 + b] = static_cast<char>((tag >> (8 * b)) & 0xff);
+    }
+    return frame;
+  };
+  const std::string request = retag(shard::EncodePing(1020), 8);
+  EXPECT_TRUE(shard::DecodeRequestHeader(request).status().IsDataLoss());
+  EXPECT_FALSE(HandleMangled(request).ok());
+  EXPECT_TRUE(
+      shard::DecodeResponseHeader(retag(ping_resp_, 8)).status().IsDataLoss());
 }
 
 TEST_F(WireFuzzTest, EveryRequestSingleByteCorruptionNeverCrashes) {
