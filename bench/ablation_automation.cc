@@ -38,7 +38,7 @@ int main() {
   off.automation_enabled = false;
   Rng rng_off(2026);
   auto baseline = RunAutomationDay(fleet, day, catalog, weights, off,
-                                   &rng_off, {.pool = &pool});
+                                   &rng_off, &pool);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -53,8 +53,8 @@ int main() {
     on.automation_enabled = true;
     on.tick = Duration::Minutes(tick_minutes);
     Rng rng(2026);  // identical incident plan
-    auto result = RunAutomationDay(fleet, day, catalog, weights, on, &rng,
-                                   {.pool = &pool});
+    auto result =
+        RunAutomationDay(fleet, day, catalog, weights, on, &rng, &pool);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;

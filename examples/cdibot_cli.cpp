@@ -1,24 +1,23 @@
 // cdibot_cli — a small operational driver over the library:
 //
 //   cdibot_cli simulate --days N --seed S --out DIR
-//       simulate N days of a synthetic fleet, run the daily CDI job, and
-//       write vm_cdi.csv / event_cdi.csv per day into DIR
-//   cdibot_cli query CSV "SQL"
-//       load a vm_cdi.csv produced by `simulate` and run a SQL query
-//       against it (table name: vm_cdi)
+//       simulate N days of a synthetic fleet, run the daily CDI job, print
+//       each day's fleet CDI and its Eq.-4 drill-down by AZ, and write
+//       vm_cdi.csv / event_cdi.csv per day into DIR (created if missing)
 //   cdibot_cli weights --tickets name=count,name=count,...
 //       print the Eq. 1-3 composite weight table for the given last-year
 //       ticket counts
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "cdi/pipeline.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "dataflow/csv.h"
-#include "dataflow/query.h"
 #include "sim/scenario.h"
 
 using namespace cdibot;
@@ -29,20 +28,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  cdibot_cli simulate [--days N] [--seed S] [--out DIR]\n"
-               "  cdibot_cli query CSV \"SQL\"\n"
                "  cdibot_cli weights --tickets name=count[,name=count...]\n");
   return 2;
-}
-
-dataflow::Schema VmCdiSchema() {
-  using dataflow::Field;
-  using dataflow::ValueType;
-  return dataflow::Schema(
-      {Field{"vm_id", ValueType::kString}, Field{"region", ValueType::kString},
-       Field{"az", ValueType::kString}, Field{"cluster", ValueType::kString},
-       Field{"cdi_u", ValueType::kDouble}, Field{"cdi_p", ValueType::kDouble},
-       Field{"cdi_c", ValueType::kDouble},
-       Field{"service_minutes", ValueType::kDouble}});
 }
 
 int RunSimulate(int argc, char** argv) {
@@ -61,6 +48,13 @@ int RunSimulate(int argc, char** argv) {
     }
   }
   if (days < 1) return Usage();
+  std::error_code ec;
+  std::filesystem::create_directories(out, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n", out.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
 
   const EventCatalog catalog = EventCatalog::BuiltIn();
   Rng rng(seed);
@@ -114,26 +108,18 @@ int RunSimulate(int argc, char** argv) {
                 date.c_str(), log.size(), result->fleet.unavailability,
                 result->fleet.performance, result->fleet.control_plane,
                 vm_path.c_str(), ev_path.c_str());
+    auto by_az =
+        RunDrilldown(result->per_vm, {.dimensions = {"az"}, .filter = {}});
+    if (!by_az.ok()) {
+      std::fprintf(stderr, "%s\n", by_az.status().ToString().c_str());
+      return 1;
+    }
+    for (const DrilldownGroup& g : by_az->groups) {
+      std::printf("  %-12s CDI-U %.6f  CDI-P %.6f  CDI-C %.6f  (%zu VMs)\n",
+                  g.key.c_str(), g.cdi.unavailability, g.cdi.performance,
+                  g.cdi.control_plane, g.vm_count);
+    }
   }
-  return 0;
-}
-
-int RunQuery(int argc, char** argv) {
-  if (argc != 2) return Usage();
-  auto table = dataflow::ReadCsvFile(argv[0], VmCdiSchema());
-  if (!table.ok()) {
-    std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
-    return 1;
-  }
-  ThreadPool pool(4);
-  dataflow::QueryEngine engine({.pool = &pool, .min_parallel_rows = 1});
-  engine.RegisterTable("vm_cdi", std::move(table).value());
-  auto result = engine.Execute(argv[1]);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s", result->ToPrettyString(100).c_str());
   return 0;
 }
 
@@ -182,7 +168,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "simulate") return RunSimulate(argc - 2, argv + 2);
-  if (command == "query") return RunQuery(argc - 2, argv + 2);
   if (command == "weights") return RunWeights(argc - 2, argv + 2);
   return Usage();
 }

@@ -50,6 +50,10 @@ class CdiAccumulator {
   /// added.
   double Value() const;
 
+  /// The exact sum of the added terms (service ms x cdi), rounded once to
+  /// nearest-even. Event-level CDI sums damage through it.
+  double RoundedSum() const;
+
   Duration total_service_time() const {
     return Duration::Millis(total_service_ms_);
   }
@@ -66,8 +70,6 @@ class CdiAccumulator {
   void AddTerm(double term, int sign);
   void Carry();
   static void Propagate(Digits& digits);
-  /// The exact sum of the finite terms, rounded to nearest-even.
-  double RoundedSum() const;
 
   Digits digits_{};
   int64_t uncarried_ = 0;

@@ -80,15 +80,30 @@ StatusOr<DrilldownResult> RunDrilldown(const std::vector<VmCdiRecord>& records,
   return result;
 }
 
+namespace {
+
+// Folds one row's damage into an exact per-name sum: with a 1 ms weight
+// each accumulator term is the damage itself, so RoundedSum() is the exact
+// total rounded once, whatever the row order.
+void AddDamage(const EventCdiRecord& rec, CdiAccumulator* damage) {
+  damage->Add(Duration::Millis(1), rec.damage_minutes);
+}
+
+}  // namespace
+
 StatusOr<std::map<std::string, double>> EventLevelCdi(
     const std::vector<EventCdiRecord>& records, Duration fleet_service_time) {
   if (fleet_service_time.millis() <= 0) {
     return Status::InvalidArgument("fleet service time must be positive");
   }
+  std::map<std::string, CdiAccumulator> damage;
+  for (const EventCdiRecord& rec : records) {
+    AddDamage(rec, &damage[rec.event_name]);
+  }
   const double service_minutes = fleet_service_time.minutes();
   std::map<std::string, double> out;
-  for (const EventCdiRecord& rec : records) {
-    out[rec.event_name] += rec.damage_minutes / service_minutes;
+  for (const auto& [name, sum] : damage) {
+    out.emplace_hint(out.end(), name, sum.RoundedSum() / service_minutes);
   }
   return out;
 }
@@ -99,11 +114,11 @@ StatusOr<double> EventLevelCdiFor(const std::vector<EventCdiRecord>& records,
   if (fleet_service_time.millis() <= 0) {
     return Status::InvalidArgument("fleet service time must be positive");
   }
-  double damage = 0.0;
+  CdiAccumulator damage;
   for (const EventCdiRecord& rec : records) {
-    if (rec.event_name == event_name) damage += rec.damage_minutes;
+    if (rec.event_name == event_name) AddDamage(rec, &damage);
   }
-  return damage / fleet_service_time.minutes();
+  return damage.RoundedSum() / fleet_service_time.minutes();
 }
 
 }  // namespace cdibot

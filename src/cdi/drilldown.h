@@ -148,7 +148,9 @@ StatusOr<DrilldownResult> RunDrilldown(const std::vector<VmCdiRecord>& records,
 /// fleet): total damage of the event divided by `fleet_service_time`, the
 /// summed service time of ALL evaluated VMs — unaffected VMs contribute
 /// zero damage but full service time, exactly as in the paper's drill-down
-/// curves. Requires a positive fleet service time.
+/// curves. Each name's damage is summed exactly and divided once, so the
+/// answer is independent of row order and equals EventLevelCdiFor bit for
+/// bit. Requires a positive fleet service time.
 StatusOr<std::map<std::string, double>> EventLevelCdi(
     const std::vector<EventCdiRecord>& records, Duration fleet_service_time);
 

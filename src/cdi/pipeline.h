@@ -137,7 +137,7 @@ struct DailyCdiResult {
   size_t vms_degraded = 0;
 
   /// Exports per_vm as a table (vm_id, region, az, cluster, cdi_u, cdi_p,
-  /// cdi_c, service_minutes) for the BI layer.
+  /// cdi_c, service_minutes) for CSV export.
   dataflow::Table ToVmTable() const;
   /// Exports per_event as a table (vm_id, event, category, damage_minutes,
   /// service_minutes).

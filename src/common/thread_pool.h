@@ -11,9 +11,10 @@
 
 namespace cdibot {
 
-/// Fixed-size worker pool backing the dataflow engine's parallel operators.
-/// Tasks are closures; Submit returns a future. The pool drains and joins in
-/// its destructor, so a ThreadPool must outlive all work submitted to it.
+/// Fixed-size worker pool backing the daily CDI job, the streaming engine
+/// and the shards. Tasks are closures; Submit returns a future. The pool
+/// drains and joins in its destructor, so a ThreadPool must outlive all
+/// work submitted to it.
 ///
 /// Shutdown follows drain-then-reject semantics: every task enqueued before
 /// shutdown began is executed, and any Submit racing with (or arriving

@@ -39,9 +39,9 @@ class Schema {
 /// A row: one Value per schema field.
 using Row = std::vector<Value>;
 
-/// An in-memory row-major table — the engine's materialized dataset unit
-/// (the MaxCompute-table stand-in). Rows are validated against the schema at
-/// append time (null is accepted for any type).
+/// An in-memory row-major table — the MaxCompute-table stand-in that CSV
+/// export, storage and checkpoints read and write. Rows are validated
+/// against the schema at append time (null is accepted for any type).
 class Table {
  public:
   Table() = default;
@@ -53,20 +53,18 @@ class Table {
 
   const Row& row(size_t i) const { return rows_[i]; }
   const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>& mutable_rows() { return rows_; }
 
   /// Appends after type-checking against the schema.
   Status Append(Row row);
 
-  /// Appends without checks; used by engine internals that construct rows
-  /// from already-validated data.
+  /// Appends without checks, for rows built from already-typed data.
   void AppendUnchecked(Row row) { rows_.push_back(std::move(row)); }
 
   /// Value at (row, column-name); NotFound for unknown columns.
   StatusOr<Value> At(size_t row_index, const std::string& column) const;
 
   /// Renders the first `max_rows` rows as an aligned text table (the BI
-  /// visualization stand-in used by benches and examples).
+  /// visualization stand-in used by examples).
   std::string ToPrettyString(size_t max_rows = 50) const;
 
  private:

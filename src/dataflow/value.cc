@@ -1,7 +1,5 @@
 #include "dataflow/value.h"
 
-#include <functional>
-
 #include "common/strings.h"
 
 namespace cdibot::dataflow {
@@ -100,23 +98,6 @@ bool operator<(const Value& a, const Value& b) {
 
 bool operator==(const Value& a, const Value& b) {
   return !(a < b) && !(b < a);
-}
-
-size_t Value::Hash() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return 0x9e3779b9;
-    case ValueType::kInt:
-      return std::hash<double>()(
-          static_cast<double>(std::get<int64_t>(v_)));
-    case ValueType::kDouble:
-      // Hash doubles via their numeric value so 1 (int) and 1.0 collide,
-      // matching operator==.
-      return std::hash<double>()(std::get<double>(v_));
-    case ValueType::kString:
-      return std::hash<std::string>()(std::get<std::string>(v_));
-  }
-  return 0;
 }
 
 }  // namespace cdibot::dataflow

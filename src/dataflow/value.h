@@ -9,7 +9,7 @@
 
 namespace cdibot::dataflow {
 
-/// Column types supported by the mini batch engine.
+/// Column types of a dataflow::Table.
 enum class ValueType : int { kNull = 0, kInt = 1, kDouble = 2, kString = 3 };
 
 std::string_view ValueTypeToString(ValueType t);
@@ -55,13 +55,9 @@ class Value {
   /// Rendering for table printers; nulls render as "NULL".
   std::string ToString() const;
 
-  /// Total ordering: null < int/double (numeric order) < string. Used by
-  /// sort and group-by keys.
+  /// Total ordering: null < int/double (numeric order) < string.
   friend bool operator<(const Value& a, const Value& b);
   friend bool operator==(const Value& a, const Value& b);
-
-  /// Hash compatible with operator== (for hash group-by / join keys).
-  size_t Hash() const;
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> v_;

@@ -100,7 +100,7 @@ Status AutomationLoopOptions::Validate() const {
 StatusOr<AutomationLoopResult> RunAutomationDay(
     const Fleet& fleet, TimePoint day_start, const EventCatalog& catalog,
     const EventWeightModel& weights, const AutomationLoopOptions& options,
-    Rng* rng, dataflow::ExecContext ctx) {
+    Rng* rng, ThreadPool* pool) {
   CDIBOT_RETURN_IF_ERROR(options.Validate());
   using Supervisor = AutomationLoopOptions::Supervisor;
   using FlowConfig = AutomationLoopOptions::Flow;
@@ -167,7 +167,7 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   // Optional shadow engine: sees every event the log sees, live.
   StreamingCdiOptions stream_options;
   stream_options.window = day;
-  stream_options.pool = ctx.pool;
+  stream_options.pool = pool;
   std::optional<StreamingCdiEngine> stream;
   if (options.streaming.has_value()) {
     CDIBOT_ASSIGN_OR_RETURN(
@@ -455,7 +455,7 @@ StatusOr<AutomationLoopResult> RunAutomationDay(
   DailyCdiJob job(DailyCdiJob::Options{.log = &log,
                                        .catalog = &catalog,
                                        .weights = &weights,
-                                       .pool = ctx.pool});
+                                       .pool = pool});
   CDIBOT_ASSIGN_OR_RETURN(const DailyCdiResult daily, job.Run(vms, day));
   result.fleet_cdi = daily.fleet;
 

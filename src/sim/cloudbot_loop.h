@@ -4,7 +4,7 @@
 #include "cdi/pipeline.h"
 #include "common/rng.h"
 #include "common/statusor.h"
-#include "dataflow/engine.h"
+#include "common/thread_pool.h"
 #include "flow/backpressure_queue.h"
 #include "ops/operation_platform.h"
 #include "rules/rule_engine.h"
@@ -188,11 +188,12 @@ struct AutomationLoopResult {
 /// CDI job.
 ///
 /// Comparing automation on vs off isolates the CDI improvement CloudBot's
-/// closed loop delivers — the system's purpose (Sec. II-A).
+/// closed loop delivers — the system's purpose (Sec. II-A). `pool`, when
+/// given, is borrowed by the daily job and the streaming shadow.
 StatusOr<AutomationLoopResult> RunAutomationDay(
     const Fleet& fleet, TimePoint day_start, const EventCatalog& catalog,
     const EventWeightModel& weights, const AutomationLoopOptions& options,
-    Rng* rng, dataflow::ExecContext ctx = {});
+    Rng* rng, ThreadPool* pool = nullptr);
 
 }  // namespace cdibot
 

@@ -1,7 +1,7 @@
 // Thread-compatibility checks: the read paths documented as safe for
-// concurrent use really are — concurrent SQL queries over one engine,
-// concurrent daily jobs over one event log, concurrent rule matching, and
-// concurrent CDI computations sharing one weight model.
+// concurrent use really are — concurrent daily jobs over one event log,
+// concurrent rule matching, and concurrent CDI computations sharing one
+// weight model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 
 #include "cdi/pipeline.h"
 #include "common/thread_pool.h"
-#include "dataflow/query.h"
 #include "rules/rule_engine.h"
 #include "sim/scenario.h"
 #include "storage/config_store.h"
@@ -18,46 +17,6 @@ namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
-
-TEST(ConcurrencyTest, ParallelQueriesOverOneEngineAgree) {
-  ThreadPool pool(4);
-  dataflow::QueryEngine engine({.pool = &pool, .min_parallel_rows = 1});
-  dataflow::Table t(dataflow::Schema(
-      {dataflow::Field{"k", dataflow::ValueType::kString},
-       dataflow::Field{"v", dataflow::ValueType::kDouble}}));
-  for (int i = 0; i < 2000; ++i) {
-    t.AppendUnchecked({dataflow::Value("g" + std::to_string(i % 7)),
-                       dataflow::Value(static_cast<double>(i))});
-  }
-  engine.RegisterTable("t", std::move(t));
-
-  const char* sql = "SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY k";
-  auto reference = engine.Execute(sql);
-  ASSERT_TRUE(reference.ok());
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int th = 0; th < 8; ++th) {
-    threads.emplace_back([&engine, &reference, &mismatches, sql]() {
-      for (int i = 0; i < 25; ++i) {
-        auto result = engine.Execute(sql);
-        if (!result.ok() ||
-            result->num_rows() != reference->num_rows()) {
-          ++mismatches;
-          continue;
-        }
-        for (size_t r = 0; r < result->num_rows(); ++r) {
-          if (result->row(r)[1].double_unchecked() !=
-              reference->row(r)[1].double_unchecked()) {
-            ++mismatches;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
 
 TEST(ConcurrencyTest, ParallelDailyJobsOverOneLogAgree) {
   const EventCatalog catalog = EventCatalog::BuiltIn();

@@ -49,10 +49,5 @@ TEST(ValueTest, NullSortsFirstStringsLast) {
   EXPECT_TRUE(Value() == Value());
 }
 
-TEST(ValueTest, HashConsistentWithEquality) {
-  EXPECT_EQ(Value(int64_t{1}).Hash(), Value(1.0).Hash());
-  EXPECT_EQ(Value("key").Hash(), Value("key").Hash());
-}
-
 }  // namespace
 }  // namespace cdibot::dataflow

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cdi/drilldown.h"
+#include "common/rng.h"
 
 namespace cdibot {
 namespace {
@@ -165,6 +166,33 @@ TEST(EventLevelCdiTest, NormalizesByFleetServiceTime) {
   auto single = EventLevelCdiFor(records, "slow_io", fleet);
   ASSERT_TRUE(single.ok());
   EXPECT_NEAR(single.value(), 28.8 / 14400.0, 1e-12);
+}
+
+TEST(EventLevelCdiTest, ExactAndOrderFreeOverRandomRows) {
+  // A row-by-row double sum rounds at every step, so it depends on row
+  // order and differs from a sum-then-divide. The exact fold does neither.
+  const std::vector<std::string> names = {"slow_io", "packet_loss",
+                                          "vcpu_high"};
+  const Duration fleet = Duration::Days(137);
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    std::vector<EventCdiRecord> records;
+    for (int i = 0; i < 60; ++i) {
+      records.push_back(EvRec("vm-" + std::to_string(i),
+                              names[rng.UniformInt(0, 2)],
+                              rng.Uniform(0.0, 1440.0)));
+    }
+    const auto by_event = EventLevelCdi(records, fleet).value();
+    for (const std::string& name : names) {
+      const double single = EventLevelCdiFor(records, name, fleet).value();
+      const auto it = by_event.find(name);
+      EXPECT_EQ(it == by_event.end() ? 0.0 : it->second, single)
+          << name << " seed " << seed;
+    }
+    rng.Shuffle(records);
+    EXPECT_EQ(EventLevelCdi(records, fleet).value(), by_event)
+        << "seed " << seed;
+  }
 }
 
 TEST(EventLevelCdiTest, AbsentEventIsZero) {

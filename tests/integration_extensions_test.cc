@@ -1,14 +1,15 @@
 // Integration tests for the extension modules working together:
 // mined rules feeding the rule engine, the prioritizer driving the
 // operation platform, the surge monitor over simulated days, and the BI
-// SQL layer over real job output.
+// drill-down and CSV export over real job output.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "cdi/pipeline.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "dataflow/csv.h"
-#include "dataflow/query.h"
 #include "extract/surge.h"
 #include "ops/operation_platform.h"
 #include "ops/prioritizer.h"
@@ -161,7 +162,7 @@ TEST(ExtensionsIntegrationTest, SurgeMonitorOverSimulatedDays) {
   EXPECT_TRUE(found);
 }
 
-TEST(ExtensionsIntegrationTest, SqlOverRealJobOutputMatchesDrilldown) {
+TEST(ExtensionsIntegrationTest, DrilldownAndCsvExportOverRealJobOutput) {
   const EventCatalog catalog = EventCatalog::BuiltIn();
   Rng rng(66);
   FaultInjector injector(&catalog, &rng);
@@ -186,31 +187,43 @@ TEST(ExtensionsIntegrationTest, SqlOverRealJobOutputMatchesDrilldown) {
                                        .min_parallel_rows = 2});
   auto result = job.Run(fleet.ServiceInfos(day).value(), day).value();
 
-  dataflow::QueryEngine bi({.pool = &pool, .min_parallel_rows = 1});
-  bi.RegisterTable("vm_cdi", result.ToVmTable());
-  auto table = bi.Execute(
-      "SELECT region, WAVG(cdi_p, service_minutes) AS q FROM vm_cdi "
-      "GROUP BY region ORDER BY region");
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-
+  // Eq. 4 by region, against a plain weighted mean of each region's rows;
+  // the groups partition the fleet.
   const auto native = RunDrilldown(result.per_vm, {.dimensions = {"region"}});
   ASSERT_TRUE(native.ok());
-  ASSERT_EQ(table->num_rows(), native->groups.size());
-  for (size_t i = 0; i < native->groups.size(); ++i) {
-    EXPECT_EQ(table->At(i, "region")->AsString().value(),
-              native->groups[i].key);
-    EXPECT_NEAR(table->At(i, "q")->AsDouble().value(),
-                native->groups[i].cdi.performance, 1e-9);
+  struct Sums {
+    double weighted = 0.0;
+    double minutes = 0.0;
+    size_t vms = 0;
+  };
+  std::map<std::string, Sums> by_region;
+  for (const VmCdiRecord& rec : result.per_vm) {
+    const auto region = rec.dims.find("region");
+    ASSERT_NE(region, rec.dims.end()) << rec.vm_id;
+    Sums& sums = by_region[region->second];
+    sums.weighted += rec.cdi.service_time.minutes() * rec.cdi.performance;
+    sums.minutes += rec.cdi.service_time.minutes();
+    ++sums.vms;
+  }
+  ASSERT_EQ(native->groups.size(), by_region.size());
+  for (const DrilldownGroup& group : native->groups) {
+    ASSERT_EQ(by_region.count(group.key), 1u) << group.key;
+    const Sums& sums = by_region[group.key];
+    EXPECT_EQ(group.vm_count, sums.vms);
+    EXPECT_NEAR(group.cdi.performance, sums.weighted / sums.minutes, 1e-12);
   }
 
-  // CSV round trip of the report preserves it bit-for-bit in value terms.
-  const std::string csv = dataflow::ToCsv(*table);
-  auto back = dataflow::FromCsv(csv, table->schema());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->num_rows(), table->num_rows());
-  for (size_t i = 0; i < table->num_rows(); ++i) {
-    EXPECT_NEAR(back->At(i, "q")->AsDouble().value(),
-                table->At(i, "q")->AsDouble().value(), 0.0);
+  // The per-VM table survives a CSV round trip value for value.
+  const dataflow::Table table = result.ToVmTable();
+  ASSERT_EQ(table.num_rows(), result.per_vm.size());
+  auto back = dataflow::FromCsv(dataflow::ToCsv(table), table.schema());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), table.num_rows());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.schema().num_fields(); ++c) {
+      EXPECT_EQ(back->row(r)[c], table.row(r)[c]) << "row " << r << " col "
+                                                  << c;
+    }
   }
 }
 

@@ -6,7 +6,6 @@
 #include "anomaly/ksigma.h"
 #include "cdi/pipeline.h"
 #include "common/thread_pool.h"
-#include "dataflow/engine.h"
 #include "sim/incidents.h"
 
 namespace cdibot {
@@ -109,39 +108,6 @@ TEST_F(FullPipelineTest, ResolveStatsAccumulateAcrossVms) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->resolve_stats.resolved, 0u);
   EXPECT_EQ(result->resolve_stats.unknown_dropped, 0u);
-}
-
-TEST_F(FullPipelineTest, BiLayerAggregatesVmTableWithDataflow) {
-  // Sec. V: the BI system re-aggregates the per-VM table with Eq. 4 via
-  // SQL-like group-by. Reproduce with the dataflow engine and check it
-  // agrees with the native drill-down.
-  const TimePoint d0 = T("2024-05-01 00:00");
-  ASSERT_TRUE(injector_
-                  .InjectDay(*fleet_, d0, BaselineRates().Scaled(6.0), &log_)
-                  .ok());
-  auto result = RunDay(d0);
-  ASSERT_TRUE(result.ok());
-
-  const dataflow::Table vm_table = result->ToVmTable();
-  dataflow::ExecContext ctx{.pool = &pool_, .min_parallel_rows = 1};
-  auto grouped = dataflow::HashGroupBy(
-      vm_table, {"az"},
-      {dataflow::AggSpec{.kind = dataflow::AggKind::kWeightedMean,
-                         .input_column = "cdi_p",
-                         .weight_column = "service_minutes",
-                         .output_name = "cdi_p"}},
-      ctx);
-  ASSERT_TRUE(grouped.ok());
-
-  const auto native = RunDrilldown(result->per_vm, {.dimensions = {"az"}});
-  ASSERT_TRUE(native.ok());
-  ASSERT_EQ(grouped->num_rows(), native->groups.size());
-  for (size_t i = 0; i < native->groups.size(); ++i) {
-    EXPECT_EQ(grouped->At(i, "az")->AsString().value(),
-              native->groups[i].key);
-    EXPECT_NEAR(grouped->At(i, "cdi_p")->AsDouble().value(),
-                native->groups[i].cdi.performance, 1e-9);
-  }
 }
 
 TEST_F(FullPipelineTest, ExportedDayRoundTripsThroughStorage) {

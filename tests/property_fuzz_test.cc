@@ -6,7 +6,6 @@
 
 #include "cdi/aggregate.h"
 #include "common/rng.h"
-#include "dataflow/engine.h"
 #include "event/period_resolver.h"
 
 namespace cdibot {
@@ -234,57 +233,6 @@ TEST_P(FuzzTest, LateDeliverySplitIsExact) {
   }
   EXPECT_DOUBLE_EQ(full_minutes, replay_minutes);
   EXPECT_EQ(replay_stats.resolved, full_stats.resolved);
-}
-
-// --- Dataflow group-by differential ------------------------------------------
-
-TEST_P(FuzzTest, GroupByMatchesBruteForce) {
-  Rng rng(GetParam() + 2000);
-  using namespace dataflow;
-  Table t(Schema({Field{"k", ValueType::kString},
-                  Field{"x", ValueType::kDouble},
-                  Field{"w", ValueType::kDouble}}));
-  const int n = static_cast<int>(rng.UniformInt(0, 400));
-  for (int i = 0; i < n; ++i) {
-    t.AppendUnchecked(
-        {Value("g" + std::to_string(rng.UniformInt(0, 5))),
-         Value(rng.Uniform(-10.0, 10.0)), Value(rng.Uniform(0.1, 5.0))});
-  }
-  ExecContext ctx{};  // single-threaded is fine for the differential
-  auto grouped = HashGroupBy(
-      t, {"k"},
-      {AggSpec{.kind = AggKind::kCount, .output_name = "n"},
-       AggSpec{.kind = AggKind::kSum, .input_column = "x",
-               .output_name = "sum"},
-       AggSpec{.kind = AggKind::kWeightedMean, .input_column = "x",
-               .weight_column = "w", .output_name = "wavg"}},
-      ctx);
-  ASSERT_TRUE(grouped.ok());
-
-  struct Expect {
-    int64_t count = 0;
-    double sum = 0.0;
-    double wsum = 0.0;
-    double wtotal = 0.0;
-  };
-  std::map<std::string, Expect> expected;
-  for (const Row& row : t.rows()) {
-    Expect& e = expected[row[0].string_unchecked()];
-    ++e.count;
-    e.sum += row[1].double_unchecked();
-    e.wsum += row[1].double_unchecked() * row[2].double_unchecked();
-    e.wtotal += row[2].double_unchecked();
-  }
-  ASSERT_EQ(grouped->num_rows(), expected.size());
-  for (size_t r = 0; r < grouped->num_rows(); ++r) {
-    const std::string key = grouped->row(r)[0].string_unchecked();
-    ASSERT_EQ(expected.count(key), 1u);
-    const Expect& e = expected[key];
-    EXPECT_EQ(grouped->At(r, "n")->AsInt().value(), e.count);
-    EXPECT_NEAR(grouped->At(r, "sum")->AsDouble().value(), e.sum, 1e-9);
-    EXPECT_NEAR(grouped->At(r, "wavg")->AsDouble().value(),
-                e.wsum / e.wtotal, 1e-9);
-  }
 }
 
 // --- Eq. 4 accumulator laws ---------------------------------------------------
