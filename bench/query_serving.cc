@@ -8,8 +8,8 @@
 //     answered from the cache: p99 is a map lookup + shared_ptr copy.
 //   BM_QueryServingCold/N — cache and cube disabled, every query a full
 //     source pull + RunDrilldown recompute. This is what serving would
-//     cost without the layer, and the floor the admission controller
-//     protects (expensive ad-hoc shapes degrade to this path).
+//     cost without the layer, and what every kFresh or first-seen ad-hoc
+//     query still pays.
 //
 // The acceptance bar this bench pins: at saturation (the largest client
 // arm), cached p99 must sit >=10x below cold p99. Both arms' p50/p99/qps

@@ -22,6 +22,21 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Runs a gtest binary under a --gtest_filter, failing when the filter
+# selects no test. The installed gtest (1.12) has no
+# --gtest_fail_if_no_test_selected, so a filter that matches nothing would
+# otherwise run zero tests and pass.
+#   run_filtered BINARY FILTER
+run_filtered() {
+  local bin="$1" filter="$2" listed
+  listed="$("$bin" --gtest_list_tests --gtest_filter="$filter")"
+  if ! grep -q '^  ' <<<"$listed"; then
+    echo "FAIL: $bin --gtest_filter='$filter' selects no tests"
+    exit 1
+  fi
+  "$bin" --gtest_filter="$filter"
+}
+
 echo "== tier-1: build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
@@ -106,7 +121,7 @@ if [[ "${SKIP_SERVE:-0}" == "1" ]]; then
   echo "== serve stage skipped (SKIP_SERVE=1) =="
 else
   # The query-serving gate: serving-layer units (canonical key, ARC cache,
-  # cube reuse, heatmap math, facade, admission) plus the differential
+  # cube reuse, heatmap math, facade, concurrent readers) plus the differential
   # suite — cache/cube ON must be BIT-identical to cache/cube OFF over 24
   # adversarial seeds, across watermark advances, churn, and a mid-day
   # shard rebalance. A wrong-numbers bug here means the dashboard serves
@@ -114,7 +129,7 @@ else
   # bench: at the largest client arm, cached p99 must sit >= 10x below the
   # cold (cache/cube off, full recompute) p99 — the layer's whole reason
   # to exist.
-  echo "== serve: serving-layer units + heatmaps + admission =="
+  echo "== serve: serving-layer units + heatmaps + concurrent readers =="
   ./build/tests/serve_test
 
   echo "== serve: cache-on == cache-off differential (24 seeds) =="
@@ -229,7 +244,7 @@ cmake --build build-asan -j "$JOBS" \
 echo "== asan+ubsan: thread pool + retry + Placement + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export ASAN_OPTIONS="detect_leaks=1"
-./build-asan/tests/common_test --gtest_filter='ThreadPool*:Retry*:PlacementValue*'
+run_filtered ./build-asan/tests/common_test 'ThreadPool*:Retry*:PlacementValue*'
 ./build-asan/tests/cdi_test
 # Result rows share one Placement per VM; the row-copy and per-VM
 # allocation budgets must hold, and any refcount misuse is an ASan failure.
@@ -243,12 +258,12 @@ echo "== asan+ubsan: chaos + crash-safe storage + observability =="
 
 echo "== asan+ubsan: flow control + surge preset (in-test RSS ceiling) =="
 ./build-asan/tests/flow_test
-./build-asan/tests/overload_test --gtest_filter='*SurgeOverload*:*Flapping*'
+run_filtered ./build-asan/tests/overload_test '*SurgeOverload*:*Flapping*'
 
 echo "== asan+ubsan: shard coordinator + wire codecs + failure/recovery =="
-./build-asan/tests/shard_test --gtest_filter='-Seeds/*'
-./build-asan/tests/shard_test \
-    --gtest_filter='Seeds/ShardEquivalenceTest.FailureAndRecoveryPreserveBitIdentity/*'
+run_filtered ./build-asan/tests/shard_test '-Seeds/*'
+run_filtered ./build-asan/tests/shard_test \
+    'Seeds/ShardEquivalenceTest.FailureAndRecoveryPreserveBitIdentity/*'
 
 echo "== asan+ubsan: socket framing/transport units + decoder fuzz corpus =="
 # The fuzz corpus (every truncation + single-byte corruption of every frame
@@ -257,8 +272,8 @@ echo "== asan+ubsan: socket framing/transport units + decoder fuzz corpus =="
 # runs one representative hostile-network seed per shard count — the full
 # sweep runs unsanitized in the socket stage above.
 ./build-asan/tests/shard_socket_test
-./build-asan/tests/shard_socket_equivalence_test \
-    --gtest_filter='Seeds/SocketShardEquivalenceTest.ProcessWorkersKill9UnderHostileNetwork/7'
+run_filtered ./build-asan/tests/shard_socket_equivalence_test \
+    'Seeds/SocketShardEquivalenceTest.ProcessWorkersKill9UnderHostileNetwork/7'
 
 echo "== asan+ubsan: serving layer + one differential seed =="
 # The ARC cache moves shared_ptr payloads between resident and ghost
@@ -267,15 +282,15 @@ echo "== asan+ubsan: serving layer + one differential seed =="
 # One engine-arm differential seed rides along; the full 24-seed sweep
 # runs unsanitized in the serve stage above.
 ./build-asan/tests/serve_test
-./build-asan/tests/serve_equivalence_test \
-    --gtest_filter='Seeds/ServeEquivalenceTest.EngineCacheOnMatchesCacheOff/7'
+run_filtered ./build-asan/tests/serve_equivalence_test \
+    'Seeds/ServeEquivalenceTest.EngineCacheOnMatchesCacheOff/7'
 
 echo "== asan+ubsan: closed-loop day through the read facade =="
 # Every loop read goes through a facade over a borrowed streaming engine
 # that the supervisor resets and re-emplaces across crash/restore, and over
 # a coordinator whose workers may be child processes; a dangling borrow or
 # an overread in any arm is an ASan failure here.
-./build-asan/tests/sim_test --gtest_filter='CloudBotLoopTest.*'
+run_filtered ./build-asan/tests/sim_test 'CloudBotLoopTest.*'
 
 echo "== asan+ubsan: fleet obs scatter/gather over worker processes =="
 # The obs-snapshot codec moves raw histogram buckets and drained spans
@@ -296,46 +311,48 @@ else
              serve_test
 
   echo "== tsan: concurrent metrics + tracer hammering =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test \
-      --gtest_filter='*Concurrent*:*Hammer*:ObsTracer*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/obs_test \
+      '*Concurrent*:*Hammer*:ObsTracer*'
 
   # The backpressure queue is the one new lock-based hot path: producers,
   # consumers, and a watermark-flipping reader all contend on it. The
   # Concurrent suite is written to race if the implementation does.
   echo "== tsan: backpressure queue producer/consumer hammering =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/flow_test \
-      --gtest_filter='*Concurrent*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/flow_test \
+      '*Concurrent*'
 
   # Concurrent gathers race ingest, rebalance, shard failure and recovery:
   # the coordinator's shared/exclusive topology locking plus per-handle
   # channel serialization is exactly the kind of layered locking TSan
   # referees. The tests are written to race if the implementation does.
   echo "== tsan: shard coordinator gather/rebalance/failure racing =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_test \
-      --gtest_filter='*Concurrent*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/shard_test \
+      '*Concurrent*'
+
+  # Concurrent CdiQueryService readers race each other and a writer that
+  # ingests and advances the engine's watermark: the ARC cache's single
+  # mutex, the service lock around cube refresh and source pulls, and the
+  # engine's own locking all meet here. The test is written to race if the
+  # layering does.
+  echo "== tsan: query service readers racing ingest =="
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/serve_test \
+      '*Concurrent*'
 
   # Close-while-blocked-in-Recv under concurrent Send/Close, for both the
   # in-process channel and the socket transport: the drain-then-Unavailable
   # contract involves a closer thread racing a blocked receiver, which is
   # precisely the ordering TSan referees.
-  # Concurrent Submits race the worker pool, the ARC cache's single
-  # mutex, and the cube refresh lock; the ConcurrentSubmitsAllResolve
-  # hammer is written to race if the layering does.
-  echo "== tsan: query server submit/worker/cache racing =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test \
-      --gtest_filter='*Concurrent*'
-
   echo "== tsan: transport close-while-blocked-in-Recv racing =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/shard_socket_test \
-      --gtest_filter='*Concurrent*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/shard_socket_test \
+      '*Concurrent*'
 
   # Obs pulls race gathers, shard failure, and recovery on a live fleet:
   # the pull walks the same per-handle channels the gather serializes on
   # while the registry and tracer keep mutating underneath. The test is
   # written to race if the snapshot path does.
   echo "== tsan: fleet obs pulls racing gathers + failure/recovery =="
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/fleet_obs_test \
-      --gtest_filter='*Concurrent*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/fleet_obs_test \
+      '*Concurrent*'
 fi
 
 echo "== all checks passed =="

@@ -1,16 +1,12 @@
 #ifndef CDIBOT_FLOW_BACKPRESSURE_QUEUE_H_
 #define CDIBOT_FLOW_BACKPRESSURE_QUEUE_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "event/event.h"
 #include "obs/metrics.h"
@@ -39,7 +35,7 @@ std::string_view FlowClassToString(FlowClass c);
 /// evolve).
 FlowClass FlowClassForCategory(StabilityCategory category);
 
-/// Tuning for a BasicBackpressureQueue.
+/// Tuning for a BackpressureQueue.
 struct FlowOptions {
   /// Hard bound on queued items — the queue's memory ceiling.
   size_t capacity = 4096;
@@ -51,11 +47,6 @@ struct FlowOptions {
   /// queue keeps shedding until the consumer has caught up well below the
   /// trip point, instead of oscillating around it.
   size_t low_watermark = 0;
-  /// Prefix for the queue's obs metrics (<prefix>.depth, <prefix>.shed,
-  /// ...). Queues sharing a prefix share the metrics, exactly as the
-  /// pre-template implementation's global counters did. The serving layer
-  /// instantiates its own queue under "serve.queue".
-  std::string metric_prefix = "flow.queue";
 };
 
 /// Outcome of one admission attempt.
@@ -92,20 +83,12 @@ struct ShedStats {
   size_t peak_depth = 0;
 };
 
-/// Traits for the telemetry event type the queue was originally built for.
-struct RawEventFlowTraits {
-  static Severity LevelOf(const RawEvent& event) { return event.level; }
-};
-
-/// A bounded MPMC queue with watermark-hysteresis admission control and
-/// severity-aware load shedding, generic over the queued item type — the
-/// overload joint between producers and a bounded consumer. `T` must be
-/// movable; `Traits::LevelOf(const T&)` supplies the Severity used for
-/// within-class shed ordering.
-///
-/// Instantiations: `BackpressureQueue` (T = RawEvent, the telemetry →
-/// streaming-engine joint) and the serving layer's query-admission queue
-/// (T = serve ticket, where FlowClass encodes cached vs ad-hoc cost).
+/// A bounded MPMC queue of RawEvents with watermark-hysteresis admission
+/// control and severity-aware load shedding — the overload joint between
+/// telemetry producers and the streaming CDI consumer. Each event's
+/// `level` orders shedding within its flow class. The queue's obs metrics
+/// live under "flow.queue.*" (depth, peak_depth, admitted, shed,
+/// evictions); every queue in the process shares them.
 ///
 /// Behavior by regime:
 ///  * Below the high watermark every arrival is admitted and delivered
@@ -123,128 +106,52 @@ struct RawEventFlowTraits {
 ///    bounded memory and no-U-loss, traded against producer backpressure.
 ///
 /// Every shed/evicted item is counted in ShedStats and reported through
-/// the shed callback so the consumer can account the loss (DataQuality for
-/// telemetry, a ResourceExhausted response for queries): output computed
-/// from a shed stream is *degraded*, never silently wrong.
+/// the shed callback so the consumer can account the loss in DataQuality:
+/// output computed from a shed stream is *degraded*, never silently wrong.
 ///
 /// Thread safety: all methods are safe from any number of producer and
 /// consumer threads (single mutex; the shed callback runs outside it).
-template <typename T, typename Traits = RawEventFlowTraits>
-class BasicBackpressureQueue {
+class BackpressureQueue {
  public:
-  /// Called for every shed or evicted item, outside the queue lock.
-  using ShedCallback = std::function<void(const T&, FlowClass)>;
+  /// Called for every shed or evicted event, outside the queue lock.
+  using ShedCallback = std::function<void(const RawEvent&, FlowClass)>;
 
-  explicit BasicBackpressureQueue(FlowOptions options = {})
-      : options_(std::move(options)) {
-    options_.capacity = std::max<size_t>(1, options_.capacity);
-    if (options_.high_watermark == 0 ||
-        options_.high_watermark > options_.capacity) {
-      options_.high_watermark = std::max<size_t>(1, options_.capacity * 7 / 8);
-    }
-    if (options_.low_watermark == 0 ||
-        options_.low_watermark >= options_.high_watermark) {
-      options_.low_watermark =
-          std::min(options_.high_watermark - 1, options_.capacity / 2);
-    }
-    auto& registry = obs::MetricsRegistry::Global();
-    depth_gauge_ = registry.GetGauge(options_.metric_prefix + ".depth");
-    peak_depth_gauge_ =
-        registry.GetGauge(options_.metric_prefix + ".peak_depth");
-    admitted_counter_ =
-        registry.GetCounter(options_.metric_prefix + ".admitted");
-    shed_counter_ = registry.GetCounter(options_.metric_prefix + ".shed");
-    eviction_counter_ =
-        registry.GetCounter(options_.metric_prefix + ".evictions");
-  }
+  explicit BackpressureQueue(FlowOptions options = {});
 
   /// Non-blocking admission. kQueueFull only when the queue holds nothing
-  /// but unavailability-class items.
-  AdmitResult TryPush(T item, FlowClass klass) { return Admit(item, klass); }
+  /// but unavailability-class events.
+  AdmitResult TryPush(RawEvent event, FlowClass klass) {
+    return Admit(event, klass);
+  }
 
   /// Blocking admission: sheddable classes never block (they are admitted
-  /// or shed immediately); an unavailability item waits for space when the
+  /// or shed immediately); an unavailability event waits for space when the
   /// queue is full of its own class. Returns false if the queue closed
-  /// while waiting (the item is dropped — only possible during teardown).
-  bool Push(T item, FlowClass klass) {
-    while (true) {
-      // Admit leaves `item` intact on kQueueFull, so the loop can retry
-      // with the same item once the consumer makes room.
-      if (Admit(item, klass) != AdmitResult::kQueueFull) return true;
-      std::unique_lock<std::mutex> lock(mu_);
-      // Sheddable classes never reach here (they are admitted or shed
-      // above); an unavailability producer blocks until the consumer makes
-      // room.
-      not_full_.wait(lock,
-                     [this] { return closed_ || depth_ < options_.capacity; });
-      if (closed_) return false;
-    }
-  }
+  /// while waiting (the event is dropped — only possible during teardown).
+  bool Push(RawEvent event, FlowClass klass);
 
   /// Blocking pop; returns false once the queue is closed AND drained.
-  bool Pop(T* out) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [this] { return closed_ || depth_ > 0; });
-      if (depth_ == 0) return false;  // closed and drained
-      PopLocked(out);
-    }
-    not_full_.notify_one();
-    return true;
-  }
+  bool Pop(RawEvent* out);
 
   /// Non-blocking pop; false when currently empty.
-  bool TryPop(T* out) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (depth_ == 0) return false;
-      PopLocked(out);
-    }
-    not_full_.notify_one();
-    return true;
-  }
+  bool TryPop(RawEvent* out);
 
   /// Closes the queue: producers are rejected, consumers drain the
   /// remainder and then see false from Pop.
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
+  void Close();
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  size_t depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return depth_;
-  }
-
-  bool shedding() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return shedding_;
-  }
-
-  ShedStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
+  bool closed() const;
+  size_t depth() const;
+  bool shedding() const;
+  ShedStats stats() const;
 
   const FlowOptions& options() const { return options_; }
 
-  void set_shed_callback(ShedCallback cb) {
-    std::lock_guard<std::mutex> lock(mu_);
-    shed_callback_ = std::move(cb);
-  }
+  void set_shed_callback(ShedCallback cb);
 
  private:
   struct Item {
-    T value;
+    RawEvent event;
     uint64_t seq = 0;
   };
 
@@ -255,141 +162,23 @@ class BasicBackpressureQueue {
   static constexpr size_t kNumBands =
       1 + 2 * static_cast<size_t>(kNumSeverityLevels);
 
-  static size_t BandFor(FlowClass klass, Severity level) {
-    if (klass == FlowClass::kUnavailability) return 0;
-    const size_t base = klass == FlowClass::kPerformance
-                            ? 0
-                            : static_cast<size_t>(kNumSeverityLevels);
-    const int ordinal =
-        std::clamp(static_cast<int>(level), 1, kNumSeverityLevels);
-    // Within a class, lower severities land in higher bands (shed first).
-    return 1 + base + static_cast<size_t>(kNumSeverityLevels - ordinal);
-  }
-
-  /// One non-blocking admission attempt. `item` is consumed only on
+  /// One non-blocking admission attempt. `event` is consumed only on
   /// kAdmitted/kShed; on kQueueFull it is left intact so a blocking Push
-  /// can retry with the same item.
-  AdmitResult Admit(T& item, FlowClass klass) {
-    // Shed/evicted items leave the lock before the callback sees them.
-    T shed_item;
-    FlowClass shed_class = klass;
-    bool have_shed = false;
-    AdmitResult result;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return AdmitResult::kQueueFull;
-      ++stats_.pushed;
-      const Severity level = Traits::LevelOf(item);
-      const size_t band = BandFor(klass, level);
-      if (band != 0 && (shedding_ || depth_ >= options_.capacity)) {
-        // Admission shed: the queue is over its high watermark (or at hard
-        // capacity) and this class is expendable under the CDI-U > CDI-P >
-        // CDI-C ordering.
-        CountShedLocked(klass, level);
-        shed_item = std::move(item);
-        shed_class = klass;
-        have_shed = true;
-        result = AdmitResult::kShed;
-      } else if (depth_ >= options_.capacity) {
-        // Unavailability arrival into a full queue: displace the newest
-        // item of the most expendable band so the U item still fits in
-        // bounded memory.
-        size_t victim_band = kNumBands;
-        for (size_t b = kNumBands; b-- > 1;) {
-          if (!bands_[b].empty()) {
-            victim_band = b;
-            break;
-          }
-        }
-        if (victim_band == kNumBands) {
-          // Queue entirely unavailability-class: nothing may be dropped,
-          // so the producer must exert real backpressure.
-          ++stats_.full_rejections;
-          return AdmitResult::kQueueFull;
-        }
-        Item victim = std::move(bands_[victim_band].back());
-        bands_[victim_band].pop_back();
-        --depth_;
-        ++stats_.evictions;
-        eviction_counter_->Increment();
-        const FlowClass victim_class =
-            victim_band <= static_cast<size_t>(kNumSeverityLevels)
-                ? FlowClass::kPerformance
-                : FlowClass::kControlPlane;
-        CountShedLocked(victim_class, Traits::LevelOf(victim.value));
-        shed_item = std::move(victim.value);
-        shed_class = victim_class;
-        have_shed = true;
-        bands_[0].push_back(Item{std::move(item), next_seq_++});
-        ++depth_;
-        ++stats_.admitted;
-        admitted_counter_->Increment();
-        result = AdmitResult::kAdmitted;
-      } else {
-        bands_[band].push_back(Item{std::move(item), next_seq_++});
-        ++depth_;
-        ++stats_.admitted;
-        admitted_counter_->Increment();
-        result = AdmitResult::kAdmitted;
-      }
-      UpdateWatermarksLocked();
-      SetDepthGaugeLocked();
-    }
-    if (result == AdmitResult::kAdmitted) not_empty_.notify_one();
-    if (have_shed && shed_callback_) shed_callback_(shed_item, shed_class);
-    return result;
-  }
+  /// can retry with the same event.
+  AdmitResult Admit(RawEvent& event, FlowClass klass);
 
-  /// Removes the globally oldest item (smallest seq across bands) into
+  /// Removes the globally oldest event (smallest seq across bands) into
   /// `*out`. Requires depth_ > 0 and the lock held.
-  void PopLocked(T* out) {
-    // FIFO across bands: deliver the globally oldest item (smallest seq).
-    size_t best_band = kNumBands;
-    uint64_t best_seq = 0;
-    for (size_t b = 0; b < kNumBands; ++b) {
-      if (bands_[b].empty()) continue;
-      const uint64_t seq = bands_[b].front().seq;
-      if (best_band == kNumBands || seq < best_seq) {
-        best_band = b;
-        best_seq = seq;
-      }
-    }
-    *out = std::move(bands_[best_band].front().value);
-    bands_[best_band].pop_front();
-    --depth_;
-    ++stats_.popped;
-    UpdateWatermarksLocked();
-    SetDepthGaugeLocked();
-  }
+  void PopLocked(RawEvent* out);
 
-  /// Records one shed item (lock held); the caller is responsible for the
+  /// Records one shed event (lock held); the caller is responsible for the
   /// callback outside the lock.
-  void CountShedLocked(FlowClass klass, Severity level) {
-    ++stats_.shed_total;
-    ++stats_.shed_by_class[static_cast<int>(klass)];
-    const int ordinal =
-        std::clamp(static_cast<int>(level), 1, kNumSeverityLevels);
-    ++stats_.shed_by_level[ordinal - 1];
-    shed_counter_->Increment();
-  }
+  void CountShedLocked(FlowClass klass, Severity level);
 
   /// Updates shedding mode from the current depth (lock held).
-  void UpdateWatermarksLocked() {
-    if (!shedding_ && depth_ >= options_.high_watermark) {
-      shedding_ = true;
-      ++stats_.shed_mode_entries;
-    } else if (shedding_ && depth_ <= options_.low_watermark) {
-      shedding_ = false;
-    }
-  }
+  void UpdateWatermarksLocked();
 
-  void SetDepthGaugeLocked() {
-    depth_gauge_->Set(static_cast<double>(depth_));
-    if (depth_ > stats_.peak_depth) {
-      stats_.peak_depth = depth_;
-      peak_depth_gauge_->Set(static_cast<double>(depth_));
-    }
-  }
+  void SetDepthGaugeLocked();
 
   FlowOptions options_;
   ShedCallback shed_callback_;
@@ -410,11 +199,6 @@ class BasicBackpressureQueue {
   bool closed_ = false;
   ShedStats stats_;
 };
-
-/// The telemetry instantiation: the overload joint between event producers
-/// and the streaming CDI consumer. (Pre-template name, kept for every
-/// existing call site.)
-using BackpressureQueue = BasicBackpressureQueue<RawEvent>;
 
 }  // namespace cdibot::flow
 

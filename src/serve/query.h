@@ -41,9 +41,10 @@ struct CdiQuery {
   /// Drill-down dimensions, most-significant first (region, az, cluster,
   /// arch, ...). Empty = fleet-level answer only.
   std::vector<std::string> group_by;
-  /// End-to-end time budget: propagated into the source pull (the engine's
-  /// deadline-bounded Preview), and checked again at admission and
-  /// execution by the QueryServer. Default = infinite.
+  /// End-to-end time budget: CdiQueryService::Query rejects an already
+  /// expired deadline before serving, and otherwise propagates it into the
+  /// source pull (the engine's deadline-bounded Preview). Default =
+  /// infinite.
   Deadline deadline;
   Consistency consistency = Consistency::kCached;
   /// Acceptable watermark lag for kStaleOk.

@@ -104,19 +104,6 @@ class ArcResultCache {
     return node.entry;
   }
 
-  /// Non-mutating residency probe for admission control: true when `key`
-  /// is resident AND `fresh` accepts it. No promotion, no stats.
-  template <typename StalePredicate>
-  bool Peek(const std::string& key, StalePredicate&& fresh) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end() || it->second.where == Where::kB1 ||
-        it->second.where == Where::kB2) {
-      return false;
-    }
-    return fresh(it->second.entry);
-  }
-
   /// Inserts (or replaces) the value for `key`, running the ARC REQUEST
   /// logic for a miss: ghost hits adapt p, REPLACE evicts one resident
   /// entry to its ghost list, and the key lands in T1 (brand new) or T2

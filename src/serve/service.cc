@@ -13,10 +13,9 @@ uint64_t NowNs() {
           .count());
 }
 
-/// The one freshness rule, shared by the result cache (Get, Peek) and the
-/// cube (pull-or-answer, and the admission probe): does an answer computed
-/// at watermark `as_of` still satisfy `query` now that the source watermark
-/// is `wm`?
+/// The one freshness rule, shared by the result cache and the cube's
+/// pull-or-answer decision: does an answer computed at watermark `as_of`
+/// still satisfy `query` now that the source watermark is `wm`?
 bool FreshEnough(TimePoint as_of, const CdiQuery& query, TimePoint wm) {
   switch (query.consistency) {
     case Consistency::kFresh:
@@ -150,22 +149,6 @@ StatusOr<CdiQueryResponse> CdiQueryService::ComputeLocked(
   }
   if (query.include_detail) response.detail = cube_.detail();
   return response;
-}
-
-bool CdiQueryService::ProbablyCheap(const CdiQuery& query) const {
-  if (Validate(query).ok() == false) return false;
-  if (query.consistency == Consistency::kFresh) return false;
-  const TimePoint wm = source_->watermark();
-  const std::string key = CanonicalQueryKey(query);
-  if (cache_.Peek(key, [&](const ArcResultCache::Entry& e) {
-        return FreshEnough(e.as_of, query, wm);
-      })) {
-    return true;
-  }
-  // An up-to-date cube answers without a source pull — cheap as well.
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.materialize_cubes && cube_.loaded() &&
-         FreshEnough(cube_.as_of(), query, wm);
 }
 
 CubeStats CdiQueryService::cube_stats() const {

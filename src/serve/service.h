@@ -131,12 +131,6 @@ class CdiQueryService {
 
   StatusOr<CdiQueryResponse> Query(const CdiQuery& query);
 
-  /// Admission-control probe: true when `query` would (right now) be
-  /// answered by cache or an up-to-date cube — i.e. cheaply. The
-  /// QueryServer classifies probe-hit queries into the never-shed flow
-  /// class. Advisory: the answer can change between probe and execution.
-  bool ProbablyCheap(const CdiQuery& query) const;
-
   CacheStats cache_stats() const { return cache_.stats(); }
   CubeStats cube_stats() const;
   ServeStats stats() const;
@@ -151,7 +145,7 @@ class CdiQueryService {
 
   CdiReadSource* source_;
   CdiQueryServiceOptions options_;
-  mutable ArcResultCache cache_;
+  ArcResultCache cache_;
 
   mutable std::mutex mu_;
   /// Holds the last pulled result; responses share it as their detail.

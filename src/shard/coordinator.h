@@ -207,7 +207,7 @@ class ShardCoordinator {
   ///
   /// DEPRECATED as a consumer API: prefer serve::CdiQueryService over a
   /// CoordinatorSource — a kFresh query is exactly this gather, plus
-  /// caching, staleness bounds, and admission control for repeat readers.
+  /// caching and staleness bounds for repeat readers.
   StatusOr<DailyCdiResult> Snapshot();
 
   /// Deadline-bounded gather: each shard gets the remaining budget; a

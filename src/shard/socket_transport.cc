@@ -2,8 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -11,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -331,7 +330,6 @@ SocketListener::~SocketListener() {
 SocketListener::SocketListener(SocketListener&& other) noexcept
     : fd_(other.fd_),
       path_(std::move(other.path_)),
-      port_(other.port_),
       closed_(other.closed_.load(std::memory_order_acquire)) {
   other.fd_ = -1;
   other.path_.clear();
@@ -345,7 +343,6 @@ SocketListener& SocketListener::operator=(SocketListener&& other) noexcept {
     }
     fd_ = other.fd_;
     path_ = std::move(other.path_);
-    port_ = other.port_;
     closed_.store(other.closed_.load(std::memory_order_acquire),
                   std::memory_order_release);
     other.fd_ = -1;
@@ -387,45 +384,6 @@ StatusOr<SocketListener> SocketListener::BindUnix(const std::string& path) {
   return l;
 }
 
-StatusOr<SocketListener> SocketListener::BindTcp(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket() failed: ") +
-                            strerror(errno));
-  }
-  SetCloexec(fd);
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = strerror(errno);
-    ::close(fd);
-    return Status::Internal("bind(tcp:" + std::to_string(port) +
-                            ") failed: " + err);
-  }
-  if (::listen(fd, 16) < 0) {
-    const std::string err = strerror(errno);
-    ::close(fd);
-    return Status::Internal("listen failed: " + err);
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) <
-      0) {
-    const std::string err = strerror(errno);
-    ::close(fd);
-    return Status::Internal("getsockname failed: " + err);
-  }
-  SocketListener l;
-  l.fd_ = fd;
-  l.port_ = ntohs(addr.sin_port);
-  return l;
-}
-
 StatusOr<std::unique_ptr<SocketTransport>> SocketListener::Accept(
     const Deadline& deadline, SocketTransportOptions options) {
   if (fd_ < 0) return Status::FailedPrecondition("listener not bound");
@@ -440,12 +398,6 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketListener::Accept(
     const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn >= 0) {
       SetCloexec(conn);
-      if (!path_.empty()) {
-        // Nothing to tune for AF_UNIX.
-      } else {
-        const int one = 1;
-        (void)::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      }
       Metrics().accepts->Increment();
       return std::make_unique<SocketTransport>(conn, options);
     }
@@ -463,17 +415,27 @@ void SocketListener::Close() {
   (void)::shutdown(fd_, SHUT_RDWR);
 }
 
-namespace {
-
-StatusOr<std::unique_ptr<SocketTransport>> ConnectFd(
-    int fd, const struct sockaddr* addr, socklen_t addrlen,
-    const Deadline& deadline, SocketTransportOptions options,
-    const std::string& what) {
+StatusOr<std::unique_ptr<SocketTransport>> ConnectUnix(
+    const std::string& path, const Deadline& deadline,
+    SocketTransportOptions options) {
+  struct sockaddr_un addr;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return Status::InvalidArgument("unix socket path too long: " + path);
+  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::Internal(std::string("socket() failed: ") +
+                            strerror(errno));
+  }
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size());
   SetCloexec(fd);
   // Non-blocking connect so the deadline bounds the wait.
   const int flags = ::fcntl(fd, F_GETFL);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd, addr, addrlen);
+  int rc = ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr));
   if (rc < 0 && errno == EINTR) {
     // In-progress after EINTR; fall through to the poll below.
     rc = -1;
@@ -490,7 +452,7 @@ StatusOr<std::unique_ptr<SocketTransport>> ConnectFd(
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &errlen) < 0 ||
         err != 0) {
       ::close(fd);
-      return Status::Unavailable("connect(" + what +
+      return Status::Unavailable("connect(" + path +
                                  ") failed: " + strerror(err ? err : errno));
     }
   } else if (rc < 0) {
@@ -498,52 +460,12 @@ StatusOr<std::unique_ptr<SocketTransport>> ConnectFd(
     ::close(fd);
     // ENOENT/ECONNREFUSED: the server has not bound yet (or died). Both are
     // Unavailable so RetryPolicy treats them as retryable.
-    return Status::Unavailable("connect(" + what +
+    return Status::Unavailable("connect(" + path +
                                ") failed: " + strerror(err));
   }
   (void)::fcntl(fd, F_SETFL, flags);
   Metrics().connects->Increment();
   return std::make_unique<SocketTransport>(fd, options);
-}
-
-}  // namespace
-
-StatusOr<std::unique_ptr<SocketTransport>> ConnectUnix(
-    const std::string& path, const Deadline& deadline,
-    SocketTransportOptions options) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("unix socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket() failed: ") +
-                            strerror(errno));
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  return ConnectFd(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr), deadline, options, path);
-}
-
-StatusOr<std::unique_ptr<SocketTransport>> ConnectTcp(
-    uint16_t port, const Deadline& deadline, SocketTransportOptions options) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket() failed: ") +
-                            strerror(errno));
-  }
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  return ConnectFd(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr), deadline, options,
-                   "tcp:" + std::to_string(port));
 }
 
 }  // namespace cdibot::shard

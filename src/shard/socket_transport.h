@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -72,7 +71,7 @@ class FrameAssembler {
   std::string error_;
 };
 
-/// Transport over a connected stream socket (Unix-domain or TCP). Owns the
+/// Transport over a connected Unix-domain stream socket. Owns the
 /// fd. Implements the Transport contract the in-process channel pins:
 ///
 ///   - Send appends one framed payload, handling short writes, EINTR and
@@ -142,8 +141,8 @@ class SocketTransport final : public Transport {
   bool latched_reported_ = false;
 };
 
-/// A bound, listening socket producing SocketTransports. Move-only; the
-/// Unix-domain variant unlinks its path on destruction.
+/// A bound, listening Unix-domain socket producing SocketTransports.
+/// Move-only; unlinks its path on destruction.
 class SocketListener {
  public:
   SocketListener() = default;
@@ -158,10 +157,6 @@ class SocketListener {
   /// sockaddr_un capacity.
   static StatusOr<SocketListener> BindUnix(const std::string& path);
 
-  /// Binds and listens on loopback TCP. `port` 0 picks an ephemeral port;
-  /// read it back from port().
-  static StatusOr<SocketListener> BindTcp(uint16_t port);
-
   /// Waits up to `deadline` for one inbound connection. Aborted on deadline
   /// expiry, Unavailable once Close()d.
   StatusOr<std::unique_ptr<SocketTransport>> Accept(
@@ -173,13 +168,11 @@ class SocketListener {
   void Close();
 
   bool valid() const { return fd_ >= 0; }
-  uint16_t port() const { return port_; }
   const std::string& path() const { return path_; }
 
  private:
   int fd_ = -1;
-  std::string path_;  // unix-domain only; unlinked on destruction
-  uint16_t port_ = 0;
+  std::string path_;  // unlinked on destruction
   std::atomic<bool> closed_{false};
 };
 
@@ -188,11 +181,6 @@ class SocketListener {
 /// server may not have bound yet — callers wrap this in RetryPolicy).
 StatusOr<std::unique_ptr<SocketTransport>> ConnectUnix(
     const std::string& path, const Deadline& deadline = Deadline(),
-    SocketTransportOptions options = {});
-
-/// Connects to loopback TCP `port`, ditto.
-StatusOr<std::unique_ptr<SocketTransport>> ConnectTcp(
-    uint16_t port, const Deadline& deadline = Deadline(),
     SocketTransportOptions options = {});
 
 }  // namespace cdibot::shard

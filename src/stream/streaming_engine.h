@@ -145,7 +145,7 @@ class StreamingCdiEngine {
   ///
   /// DEPRECATED as a consumer API: new read paths should go through
   /// serve::CdiQueryService (a fleet-only query returns the same bits) and
-  /// gain caching, staleness bounds, and admission control.
+  /// gain caching and staleness bounds.
   StatusOr<VmCdi> FleetCdi();
 
   /// Full batch-compatible snapshot: per-VM rows, per-event drill-down

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "storage/event_log.h"
 
@@ -33,6 +34,29 @@ TEST(EventLogTest, AppendAndSearchAcrossDays) {
   auto res = log.Search(Interval(T("2024-01-01 00:00"), T("2024-01-03 00:00")));
   ASSERT_EQ(res.size(), 2u);
   EXPECT_LT(res[0].time, res[1].time);
+}
+
+TEST(EventLogTest, AppendBatchMatchesAppend) {
+  const std::vector<RawEvent> events = {
+      Make("slow_io", "2024-01-01 10:00", "vm-1"),
+      Make("slow_io", "2024-01-01 10:01", "vm-1"),
+      Make("vm_crash", "2024-01-02 10:02", "vm-2")};
+  EventLog one_by_one;
+  EXPECT_EQ(one_by_one.size(), 0u);
+  for (const RawEvent& ev : events) one_by_one.Append(ev);
+  EventLog batched;
+  batched.AppendBatch(events);
+  EXPECT_EQ(batched.size(), events.size());
+  EXPECT_EQ(batched.PartitionDays(), one_by_one.PartitionDays());
+  const Interval range(T("2024-01-01 00:00"), T("2024-01-03 00:00"));
+  const std::vector<RawEvent> want = one_by_one.Search(range);
+  const std::vector<RawEvent> got = batched.Search(range);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].time, want[i].time);
+    EXPECT_EQ(got[i].target, want[i].target);
+  }
 }
 
 TEST(EventLogTest, SearchIsHalfOpen) {
@@ -266,6 +290,18 @@ TEST(EventLogTest, QueryEmptyIntervalIsEmptySpan) {
       .interval = Interval(T("2024-01-01 10:00"), T("2024-01-01 10:00")),
       .target_id = GlobalInterner().Lookup("vm-1")});
   EXPECT_TRUE(span.empty());
+}
+
+TEST(EventLogTest, QueryIntervalIsHalfOpen) {
+  EventLog log;
+  log.Append(Make("at_start", "2024-01-01 00:00", "vm-1"));
+  log.Append(Make("at_end", "2024-01-02 00:00", "vm-1"));
+  auto res = Collect(log.Query(
+      EventQuery{.interval = Interval(T("2024-01-01 00:00"),
+                                      T("2024-01-02 00:00")),
+                 .target_id = GlobalInterner().Lookup("vm-1")}));
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].name, "at_start");
 }
 
 TEST(EventLogTest, QuerySpanMatchesTargetFilteredSearch) {

@@ -1,14 +1,12 @@
 // Unit tests for the query-serving layer (src/serve/): canonical query
 // keys, the ARC result cache, the incrementally maintained drill-down
-// cube, the heatmap endpoint, the CdiQueryService facade over a fake
-// source, and the QueryServer's admission control. The bit-identity
-// contract against live engines is pinned separately by
+// cube, the heatmap endpoint, and the CdiQueryService facade over a fake
+// source and under concurrent readers racing a live engine. The
+// bit-identity contract against live engines is pinned separately by
 // serve_equivalence_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <future>
 #include <map>
 #include <mutex>
 #include <string>
@@ -21,9 +19,10 @@
 #include "serve/heatmap.h"
 #include "serve/query.h"
 #include "serve/result_cache.h"
-#include "serve/server.h"
 #include "serve/service.h"
+#include "shard_equivalence_harness.h"
 #include "storage/event_log.h"
+#include "stream/streaming_engine.h"
 #include "strict_json.h"
 
 namespace cdibot::serve {
@@ -107,7 +106,6 @@ TEST(ArcResultCacheTest, CapacityZeroDisablesEverything) {
   ArcResultCache cache(0, "serve_test.arc_off");
   cache.Put("k", MakeEntry(1.0, At("2026-03-10 00:00")));
   EXPECT_FALSE(cache.Get("k", kAlwaysFresh).has_value());
-  EXPECT_FALSE(cache.Peek("k", kAlwaysFresh));
   EXPECT_EQ(cache.stats().resident, 0u);
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
@@ -122,7 +120,7 @@ TEST(ArcResultCacheTest, EvictsAtCapacity) {
   EXPECT_LE(stats.resident, 2u);
   EXPECT_GE(stats.evictions, 1u);
   // The newest key is always resident.
-  EXPECT_TRUE(cache.Peek("c", kAlwaysFresh));
+  EXPECT_TRUE(cache.Get("c", kAlwaysFresh).has_value());
 }
 
 TEST(ArcResultCacheTest, ScanResistanceKeepsHotKeyResident) {
@@ -135,7 +133,7 @@ TEST(ArcResultCacheTest, ScanResistanceKeepsHotKeyResident) {
   for (int i = 0; i < 8; ++i) {
     cache.Put("sweep-" + std::to_string(i), MakeEntry(i, wm));
   }
-  EXPECT_TRUE(cache.Peek("hot", kAlwaysFresh))
+  EXPECT_TRUE(cache.Get("hot", kAlwaysFresh).has_value())
       << "an LRU would have flushed the hot key; ARC's T2 must not";
 }
 
@@ -151,7 +149,7 @@ TEST(ArcResultCacheTest, GhostHitAdaptsTarget) {
   cache.Put("b", MakeEntry(2.0, wm));
   cache.Put("c", MakeEntry(3.0, wm));  // evicts "b" to B1
   ASSERT_GE(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.Peek("b", kAlwaysFresh));
+  EXPECT_FALSE(cache.Get("b", kAlwaysFresh).has_value());
   const size_t target_before = cache.stats().target_t1;
   cache.Put("b", MakeEntry(2.5, wm));  // B1 ghost hit: recency is winning
   const CacheStats stats = cache.stats();
@@ -179,18 +177,6 @@ TEST(ArcResultCacheTest, StaleRejectionDemotesAndRecovers) {
   auto entry = cache.Get("k", kAlwaysFresh);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->response->fleet.performance, 2.0);
-}
-
-TEST(ArcResultCacheTest, PeekDoesNotMutate) {
-  ArcResultCache cache(4, "serve_test.arc_peek");
-  cache.Put("k", MakeEntry(1.0, At("2026-03-10 00:00")));
-  const CacheStats before = cache.stats();
-  EXPECT_TRUE(cache.Peek("k", kAlwaysFresh));
-  EXPECT_FALSE(cache.Peek("missing", kAlwaysFresh));
-  const CacheStats after = cache.stats();
-  EXPECT_EQ(before.lookups, after.lookups);
-  EXPECT_EQ(before.hits, after.hits);
-  EXPECT_EQ(before.misses, after.misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -492,8 +478,7 @@ TEST(HeatmapTest, JsonIsStrictAndComplete) {
 // CdiQueryService over a fake source
 
 /// A CdiReadSource the test controls completely: settable watermark, a
-/// canned result, a pull counter, and an optional gate that blocks
-/// Pull until the test opens it (for QueryServer overload scenarios).
+/// canned result and a pull counter.
 class FakeSource : public CdiReadSource {
  public:
   FakeSource() {
@@ -530,10 +515,7 @@ class FakeSource : public CdiReadSource {
 
   StatusOr<DailyCdiResult> Pull(const Deadline& deadline) override {
     (void)deadline;
-    std::unique_lock<std::mutex> lock(mu_);
-    ++pulls_started_;
-    started_cv_.notify_all();
-    gate_cv_.wait(lock, [this] { return !gate_closed_; });
+    std::lock_guard<std::mutex> lock(mu_);
     ++pulls_;
     DailyCdiResult copy = result_;
     return copy;
@@ -548,25 +530,6 @@ class FakeSource : public CdiReadSource {
     wm_ += by;
   }
 
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_closed_ = true;
-  }
-
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gate_closed_ = false;
-    }
-    gate_cv_.notify_all();
-  }
-
-  /// Blocks until at least `n` Pull calls have started (possibly gated).
-  void AwaitPullsStarted(size_t n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    started_cv_.wait(lock, [this, n] { return pulls_started_ >= n; });
-  }
-
   size_t pulls() const {
     std::lock_guard<std::mutex> lock(mu_);
     return pulls_;
@@ -578,11 +541,7 @@ class FakeSource : public CdiReadSource {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable gate_cv_;
-  std::condition_variable started_cv_;
-  bool gate_closed_ = false;
   size_t pulls_ = 0;
-  size_t pulls_started_ = 0;
   TimePoint wm_;
   DailyCdiResult result_;
 };
@@ -762,35 +721,6 @@ TEST(CdiQueryServiceTest, CubesOffMatchesCubesOnBitwise) {
   }
 }
 
-TEST(CdiQueryServiceTest, ProbablyCheapTracksCacheAndCube) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.svc_probe"});
-  CdiQuery q;
-  q.consistency = Consistency::kCached;
-  q.group_by = {"az"};
-  EXPECT_FALSE(service.ProbablyCheap(q)) << "nothing warmed yet";
-  ASSERT_TRUE(service.Query(q).ok());
-  EXPECT_TRUE(service.ProbablyCheap(q));
-
-  CdiQuery fresh = q;
-  fresh.consistency = Consistency::kFresh;
-  EXPECT_FALSE(service.ProbablyCheap(fresh)) << "kFresh is never cheap";
-
-  CdiQuery invalid;
-  invalid.group_by = {"az", "az"};
-  EXPECT_FALSE(service.ProbablyCheap(invalid));
-
-  // A different question with the cube warm is still cheap (cube answers
-  // without a pull while the watermark is unchanged).
-  CdiQuery other;
-  other.consistency = Consistency::kCached;
-  other.group_by = {"region"};
-  EXPECT_TRUE(service.ProbablyCheap(other));
-
-  source.AdvanceWatermark(Duration::Minutes(1));
-  EXPECT_FALSE(service.ProbablyCheap(q)) << "watermark advance invalidates";
-}
-
 TEST(CdiQueryServiceTest, ResponseJsonIsStrict) {
   FakeSource source;
   CdiQueryService service(&source, {.metric_prefix = "serve_test.svc_json"});
@@ -825,177 +755,95 @@ TEST(CdiQueryServiceTest, ResponseJsonIsStrict) {
 }
 
 // ---------------------------------------------------------------------------
-// QueryServer
+// CdiQueryService under concurrent readers and a live writer
 
-TEST(QueryServerTest, SubmitRoundTrip) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_rt"});
-  QueryServer server(&service, {.workers = 2});
-  CdiQuery q;
-  q.consistency = Consistency::kCached;
-  q.group_by = {"az"};
-  auto future = server.Submit(q);
-  auto response = future.get();
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->fleet.performance, source.result().fleet.performance);
-  server.Shutdown();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 1u);
-  EXPECT_EQ(stats.admitted, 1u);
-  EXPECT_EQ(stats.executed, 1u);
-  EXPECT_EQ(stats.shed, 0u);
-}
+TEST(CdiQueryServiceConcurrentTest, ReadersRacingIngestStayOkAndMonotonic) {
+  const testutil::Scenario sc = testutil::MakeScenario(11);
+  testutil::ShardEquivalenceHarness harness;
+  StreamingCdiOptions opts;
+  opts.window = sc.day;
+  auto engine_or = StreamingCdiEngine::Create(&harness.catalog(),
+                                              &harness.weights(), opts);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+  StreamingCdiEngine engine = std::move(engine_or).value();
+  for (const VmServiceInfo& vm : sc.vms) {
+    ASSERT_TRUE(engine.RegisterVm(vm).ok());
+  }
+  EngineSource source(&engine);
+  CdiQueryService service(&source, {.metric_prefix = "serve_test.svc_conc"});
 
-TEST(QueryServerTest, InvalidQueryStillGetsAnAnswer) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_inv"});
-  QueryServer server(&service, {.workers = 1});
-  CdiQuery bad;
-  bad.group_by = {"az", "az"};
-  auto status = server.Submit(bad).get().status();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
+  constexpr int kReaders = 3;
+  constexpr int kMinQueries = 20;
+  // Every thread waits at this barrier so the writer's whole day races
+  // the readers instead of finishing before they start.
+  std::atomic<int> arrived{0};
+  auto start_together = [&arrived] {
+    arrived.fetch_add(1);
+    while (arrived.load() < kReaders + 1) std::this_thread::yield();
+  };
 
-TEST(QueryServerTest, ShutdownRejectsNewQueries) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_down"});
-  QueryServer server(&service, {.workers = 1});
-  server.Shutdown();
-  auto status = server.Submit(CdiQuery{}).get().status();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-}
+  // The writer ingests the day and pushes the watermark forward while the
+  // readers query; it finishes by closing the day.
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    start_together();
+    for (size_t i = 0; i < sc.arrivals.size(); ++i) {
+      EXPECT_TRUE(engine.Ingest(sc.arrivals[i]).ok());
+      if (i % 8 == 7) engine.AdvanceWatermarkTo(sc.arrivals[i].time);
+    }
+    engine.AdvanceWatermarkTo(sc.day.end);
+    writing.store(false, std::memory_order_release);
+  });
 
-TEST(QueryServerTest, OverloadShedsExpensiveQueriesNotCheapOnes) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_shed"});
-  // Warm the cache so a dashboard-style repeat classifies as never-shed.
-  CdiQuery warm;
-  warm.consistency = Consistency::kCached;
-  ASSERT_TRUE(service.Query(warm).ok());
-
-  QueryServerOptions options;
-  options.workers = 1;
-  options.flow.capacity = 8;
-  options.flow.high_watermark = 2;
-  options.flow.low_watermark = 1;
-  options.flow.metric_prefix = "serve_test.srv_shed.queue";
-  QueryServer server(&service, options);
-
-  // Occupy the single worker inside a gated source pull.
-  source.CloseGate();
-  CdiQuery blocker;
-  blocker.consistency = Consistency::kFresh;
-  auto blocked = server.Submit(blocker);
-  source.AwaitPullsStarted(2);  // warm-up pull + the gated one
-
-  // Two fine-grained queries fill the queue to the high watermark...
-  CdiQuery fine;
-  fine.consistency = Consistency::kFresh;
-  fine.group_by = {"region", "az", "missing_dim"};
-  auto queued_a = server.Submit(fine);
-  auto queued_b = server.Submit(fine);
-  // ...so the next expensive ad-hoc query is shed at admission.
-  auto shed = server.Submit(fine);
-  auto shed_status = shed.get().status();
-  EXPECT_EQ(shed_status.code(), StatusCode::kResourceExhausted);
-
-  // The warm (cache-hit) query is kUnavailability class: admitted even in
-  // shedding mode.
-  auto cheap = server.Submit(warm);
-
-  source.OpenGate();
-  EXPECT_TRUE(blocked.get().ok());
-  EXPECT_TRUE(queued_a.get().ok());
-  EXPECT_TRUE(queued_b.get().ok());
-  auto cheap_response = cheap.get();
-  ASSERT_TRUE(cheap_response.ok()) << cheap_response.status().ToString();
-  server.Shutdown();
-
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, 5u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.admitted, 4u);
-  EXPECT_EQ(stats.executed, 4u);
-  EXPECT_EQ(server.queue_stats().shed_total, 1u);
-}
-
-TEST(QueryServerTest, DeadlineExpiredInQueueIsDropped) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_drop"});
-  QueryServerOptions options;
-  options.workers = 1;
-  options.flow.metric_prefix = "serve_test.srv_drop.queue";
-  QueryServer server(&service, options);
-
-  source.CloseGate();
-  CdiQuery blocker;
-  blocker.consistency = Consistency::kFresh;
-  auto blocked = server.Submit(blocker);
-  source.AwaitPullsStarted(1);
-
-  CdiQuery doomed;
-  doomed.consistency = Consistency::kFresh;
-  doomed.deadline = Deadline::After(Duration::Zero());
-  auto dropped = server.Submit(doomed);
-
-  source.OpenGate();
-  EXPECT_TRUE(blocked.get().ok());
-  auto status = dropped.get().status();
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-  server.Shutdown();
-  EXPECT_EQ(server.stats().deadline_drops, 1u);
-}
-
-TEST(QueryServerTest, ConcurrentSubmitsAllResolve) {
-  FakeSource source;
-  CdiQueryService service(&source, {.metric_prefix = "serve_test.srv_conc"});
-  QueryServerOptions options;
-  options.workers = 3;
-  options.flow.metric_prefix = "serve_test.srv_conc.queue";
-  QueryServer server(&service, options);
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25;
-  std::atomic<int> ok_count{0};
-  std::atomic<int> rejected_count{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
+  // kFresh and kCached answers are stamped with the watermark read at the
+  // start of the query, and the engine's watermark never regresses, so
+  // within one reader as_of_watermark must never go backwards.
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      start_together();
+      TimePoint last;
+      for (int i = 0;
+           i < kMinQueries || writing.load(std::memory_order_acquire); ++i) {
         CdiQuery q;
         switch ((t + i) % 3) {
           case 0:
-            q.consistency = Consistency::kCached;
+            q.consistency = Consistency::kFresh;
             break;
           case 1:
             q.consistency = Consistency::kCached;
             q.group_by = {"az"};
             break;
           default:
-            q.consistency = Consistency::kFresh;
+            q.consistency = Consistency::kCached;
             q.group_by = {"region", "az"};
             break;
         }
-        auto result = server.Submit(q).get();
-        if (result.ok()) {
-          ++ok_count;
-        } else {
-          ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-          ++rejected_count;
+        auto response = service.Query(q);
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        if (i > 0) {
+          EXPECT_GE(response->as_of_watermark, last)
+              << "reader " << t << " query " << i;
         }
+        last = response->as_of_watermark;
       }
     });
   }
-  for (std::thread& t : producers) t.join();
-  server.Shutdown();
-  EXPECT_EQ(ok_count + rejected_count, kThreads * kPerThread)
-      << "every future must resolve";
-  EXPECT_GT(ok_count, 0);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(stats.executed + stats.shed + stats.deadline_drops,
-            stats.submitted);
+  writer.join();
+  for (std::thread& r : readers) r.join();
+
+  CdiQuery fleet;
+  fleet.consistency = Consistency::kFresh;
+  auto final_answer = service.Query(fleet);
+  ASSERT_TRUE(final_answer.ok()) << final_answer.status().ToString();
+  auto snapshot = engine.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(final_answer->fleet.unavailability, snapshot->fleet.unavailability);
+  EXPECT_EQ(final_answer->fleet.performance, snapshot->fleet.performance);
+  EXPECT_EQ(final_answer->fleet.control_plane, snapshot->fleet.control_plane);
+  EXPECT_EQ(final_answer->fleet.service_time, snapshot->fleet.service_time);
+  EXPECT_EQ(final_answer->as_of_watermark, engine.watermark());
 }
 
 }  // namespace

@@ -188,14 +188,20 @@ class ShardEquivalenceHarness {
     return owned;
   }
 
+  /// Bit-identical comparison of one CDI triple and its service time.
+  static void ExpectIdenticalCdi(const VmCdi& want, const VmCdi& got,
+                                 const std::string& what) {
+    EXPECT_EQ(want.unavailability, got.unavailability) << what;
+    EXPECT_EQ(want.performance, got.performance) << what;
+    EXPECT_EQ(want.control_plane, got.control_plane) << what;
+    EXPECT_EQ(want.service_time, got.service_time) << what;
+  }
+
   /// Bit-identical comparison: every double compared with EXPECT_EQ.
   static void ExpectIdentical(const DailyCdiResult& want,
                               const DailyCdiResult& got,
                               const std::string& what) {
-    EXPECT_EQ(want.fleet.unavailability, got.fleet.unavailability) << what;
-    EXPECT_EQ(want.fleet.performance, got.fleet.performance) << what;
-    EXPECT_EQ(want.fleet.control_plane, got.fleet.control_plane) << what;
-    EXPECT_EQ(want.fleet.service_time, got.fleet.service_time) << what;
+    ExpectIdenticalCdi(want.fleet, got.fleet, what + " fleet");
     EXPECT_EQ(want.fleet_service_time, got.fleet_service_time) << what;
 
     EXPECT_EQ(want.fleet_baseline.interruption_count,
@@ -247,14 +253,7 @@ class ShardEquivalenceHarness {
       const VmCdiRecord& g = got.per_vm[i];
       EXPECT_EQ(w.vm_id, g.vm_id) << what << " row " << i;
       EXPECT_EQ(w.dims, g.dims) << what << " " << w.vm_id;
-      EXPECT_EQ(w.cdi.unavailability, g.cdi.unavailability)
-          << what << " " << w.vm_id;
-      EXPECT_EQ(w.cdi.performance, g.cdi.performance)
-          << what << " " << w.vm_id;
-      EXPECT_EQ(w.cdi.control_plane, g.cdi.control_plane)
-          << what << " " << w.vm_id;
-      EXPECT_EQ(w.cdi.service_time, g.cdi.service_time)
-          << what << " " << w.vm_id;
+      ExpectIdenticalCdi(w.cdi, g.cdi, what + " " + w.vm_id);
       EXPECT_EQ(w.quality.events_quarantined, g.quality.events_quarantined)
           << what << " " << w.vm_id;
       EXPECT_EQ(w.quality.events_missing, g.quality.events_missing)

@@ -89,11 +89,10 @@ void ShardedFleetMatchesBatchExactly::TestBody() {
   auto batch = job.Run(sc.vms, sc.day);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
+  batch->SortRows();
   const DailyCdiResult sharded = harness_.RunSharded(sc, 4, seed());
-  EXPECT_EQ(batch->fleet.unavailability, sharded.fleet.unavailability);
-  EXPECT_EQ(batch->fleet.performance, sharded.fleet.performance);
-  EXPECT_EQ(batch->fleet.control_plane, sharded.fleet.control_plane);
-  EXPECT_EQ(batch->fleet.service_time, sharded.fleet.service_time);
+  ShardEquivalenceHarness::ExpectIdentical(*batch, sharded,
+                                           "sharded vs batch");
 }
 
 }  // namespace

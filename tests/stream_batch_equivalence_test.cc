@@ -4,16 +4,16 @@
 // service windows, mid-day churn (VMs registered late or re-registered with
 // a changed window), unknown/duplicate/out-of-window events, stateful
 // add/del streams and logged-duration events — feeds the identical event
-// set to both engines, and requires per-VM CDI-U/P/C, the fleet CDI — both
-// the snapshot's and the engine's FleetCdi() shard-partial merge — and the
-// baselines to agree bit for bit: the per-VM math is the same code, period
-// resolution is arrival-order invariant, and the fleet fold is exact.
+// set to both engines, and requires the whole result (fleet CDI, per-VM
+// and per-event rows, baselines, counters and data quality) and the
+// engine's FleetCdi() shard-partial merge to agree bit for bit: the per-VM
+// math is the same code, period resolution is arrival-order invariant, and
+// the fleet fold is exact.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,24 +24,23 @@
 #include "storage/stream_checkpoint.h"
 #include "stream/streaming_engine.h"
 #include "equivalence_scenario.h"
+#include "shard_equivalence_harness.h"
 
 namespace cdibot {
 namespace {
 
 using testutil::MakeScenario;
 using testutil::Scenario;
+using testutil::ShardEquivalenceHarness;
 
 class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  EquivalenceTest() : catalog_(EventCatalog::BuiltIn()) {
-    auto ticket = TicketRankModel::FromCounts(
-        {{"slow_io", 100}, {"packet_loss", 60}, {"vcpu_high", 40},
-         {"vm_start_failed", 20}},
-        4);
-    weights_.emplace(
-        EventWeightModel::Build(std::move(ticket).value(), {}).value());
-  }
+  EquivalenceTest()
+      : catalog_(EventCatalog::BuiltIn()),
+        weights_(testutil::BuildCanonicalWeights()) {}
 
+  /// The batch job's result with its rows sorted by id, the order the
+  /// engine's snapshot emits them in.
   DailyCdiResult RunBatch(const Scenario& sc, ThreadPool* pool) {
     EventLog log;
     log.AppendBatch(sc.arrivals);
@@ -52,6 +51,7 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
                                          .min_parallel_rows = 2});
     auto result = job.Run(sc.vms, sc.day);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
+    result->SortRows();
     return std::move(result).value();
   }
 
@@ -120,14 +120,6 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     return std::move(snap).value();
   }
 
-  static void ExpectSameCdi(const VmCdi& a, const VmCdi& b,
-                            const std::string& what) {
-    EXPECT_EQ(a.unavailability, b.unavailability) << what;
-    EXPECT_EQ(a.performance, b.performance) << what;
-    EXPECT_EQ(a.control_plane, b.control_plane) << what;
-    EXPECT_EQ(a.service_time, b.service_time) << what;
-  }
-
   EventCatalog catalog_;
   std::optional<EventWeightModel> weights_;
 };
@@ -142,56 +134,10 @@ TEST_P(EquivalenceTest, StreamSnapshotMatchesBatchJob) {
       RunStream(sc, GetParam(), &pool,
                 /*checkpoint_midway=*/GetParam() % 4 == 0, &engine_fleet);
 
-  ExpectSameCdi(batch.fleet, stream.fleet, "fleet");
+  ShardEquivalenceHarness::ExpectIdentical(batch, stream, "stream vs batch");
   // The engine's shard-partial merge is the same exact fold.
-  ExpectSameCdi(stream.fleet, engine_fleet, "FleetCdi() vs snapshot");
-
-  // Per-VM rows match one-to-one (batch order is input order, stream order
-  // is sorted; compare by id).
-  std::map<std::string, const VmCdiRecord*> batch_vms;
-  for (const VmCdiRecord& rec : batch.per_vm) batch_vms[rec.vm_id] = &rec;
-  ASSERT_EQ(batch.per_vm.size(), stream.per_vm.size());
-  for (const VmCdiRecord& rec : stream.per_vm) {
-    auto it = batch_vms.find(rec.vm_id);
-    ASSERT_NE(it, batch_vms.end()) << rec.vm_id;
-    ExpectSameCdi(it->second->cdi, rec.cdi, rec.vm_id);
-  }
-
-  // Aggregates, baselines, counters, and data-quality stats line up too.
-  EXPECT_EQ(batch.vms_evaluated, stream.vms_evaluated);
-  EXPECT_EQ(batch.vms_skipped, stream.vms_skipped);
-  EXPECT_EQ(batch.vms_failed, stream.vms_failed);
-  EXPECT_EQ(batch.fleet_service_time, stream.fleet_service_time);
-  EXPECT_EQ(batch.fleet_baseline.downtime_percentage,
-            stream.fleet_baseline.downtime_percentage);
-  EXPECT_EQ(batch.fleet_baseline.annual_interruption_rate,
-            stream.fleet_baseline.annual_interruption_rate);
-  EXPECT_EQ(batch.resolve_stats.resolved, stream.resolve_stats.resolved);
-  EXPECT_EQ(batch.resolve_stats.unknown_dropped,
-            stream.resolve_stats.unknown_dropped);
-  EXPECT_EQ(batch.resolve_stats.duplicate_details_dropped,
-            stream.resolve_stats.duplicate_details_dropped);
-  EXPECT_EQ(batch.resolve_stats.dangling_end_dropped,
-            stream.resolve_stats.dangling_end_dropped);
-  EXPECT_EQ(batch.resolve_stats.unpaired_start_closed,
-            stream.resolve_stats.unpaired_start_closed);
-
-  // Per-event drill-down damage totals per (vm, event).
-  std::map<std::pair<std::string, std::string>, double> batch_damage;
-  for (const EventCdiRecord& rec : batch.per_event) {
-    batch_damage[{rec.vm_id, rec.event_name}] += rec.damage_minutes;
-  }
-  std::map<std::pair<std::string, std::string>, double> stream_damage;
-  for (const EventCdiRecord& rec : stream.per_event) {
-    stream_damage[{rec.vm_id, rec.event_name}] += rec.damage_minutes;
-  }
-  ASSERT_EQ(batch_damage.size(), stream_damage.size());
-  for (const auto& [key, damage] : batch_damage) {
-    auto it = stream_damage.find(key);
-    ASSERT_NE(it, stream_damage.end()) << key.first << "/" << key.second;
-    EXPECT_NEAR(damage, it->second, 1e-9)
-        << key.first << "/" << key.second;
-  }
+  ShardEquivalenceHarness::ExpectIdenticalCdi(stream.fleet, engine_fleet,
+                                              "FleetCdi() vs snapshot");
 }
 
 // A wider fleet: eight scenarios side by side (VM ids and event targets
@@ -249,8 +195,10 @@ TEST_P(EquivalenceTest, WideFleetCdiMatchesSnapshotAndBatch) {
                 &engine_fleet);
   ASSERT_EQ(batch.vms_failed, 0u);
   ASSERT_GT(batch.vms_evaluated, 48u);
-  ExpectSameCdi(batch.fleet, stream.fleet, "wide fleet");
-  ExpectSameCdi(stream.fleet, engine_fleet, "wide FleetCdi() vs snapshot");
+  ShardEquivalenceHarness::ExpectIdentical(batch, stream,
+                                           "wide stream vs batch");
+  ShardEquivalenceHarness::ExpectIdenticalCdi(stream.fleet, engine_fleet,
+                                              "wide FleetCdi() vs snapshot");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
@@ -276,8 +224,10 @@ void DoubleDeliveryStillMatchesBatch::TestBody() {
   VmCdi engine_fleet;
   const DailyCdiResult stream =
       RunStream(sc, seed(), nullptr, false, &engine_fleet);
-  ExpectSameCdi(batch.fleet, stream.fleet, "fleet under double delivery");
-  ExpectSameCdi(stream.fleet, engine_fleet, "FleetCdi() under double delivery");
+  ShardEquivalenceHarness::ExpectIdentical(
+      batch, stream, "stream vs batch under double delivery");
+  ShardEquivalenceHarness::ExpectIdenticalCdi(
+      stream.fleet, engine_fleet, "FleetCdi() under double delivery");
 }
 
 }  // namespace
