@@ -308,11 +308,27 @@ else
   cmake -B build-tsan -S . -DCDIBOT_TSAN=ON >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target obs_test flow_test shard_test shard_socket_test fleet_obs_test \
-             serve_test
+             serve_test common_test cdi_test overload_test integration_test
 
   echo "== tsan: concurrent metrics + tracer hammering =="
   TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/obs_test \
       '*Concurrent*:*Hammer*:ObsTracer*'
+
+  # The pooled daily job: pool threads claim chunks of VMs, each chunk
+  # writes its own partial result, and the caller merges the partials once
+  # ParallelFor returns. The pool's own claim/completion handshake, the
+  # pooled-vs-serial differential, a deadline expiring mid-run, and four
+  # jobs sharing one pool and one event log are all written to race if the
+  # hand-off does.
+  echo "== tsan: thread pool + pooled daily job =="
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/common_test \
+      'ThreadPool*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/cdi_test \
+      'PipelineTest.*Parallel*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/overload_test \
+      'OverloadTest.*DailyJob*'
+  TSAN_OPTIONS="halt_on_error=1" run_filtered \
+      ./build-tsan/tests/integration_test 'ConcurrencyTest.*'
 
   # The backpressure queue is the one new lock-based hot path: producers,
   # consumers, and a watermark-flipping reader all contend on it. The

@@ -67,6 +67,11 @@ void DailyCdiResult::SortRows() {
             });
 }
 
+void DailyCdiResultBuilder::Reserve(size_t vms, size_t events) {
+  result_.per_vm.reserve(vms);
+  result_.per_event.reserve(events);
+}
+
 void DailyCdiResultBuilder::AddVm(VmDailyOutput out,
                                   const DataQuality& quality) {
   ++result_.vms_evaluated;
@@ -259,64 +264,75 @@ StatusOr<DailyCdiResult> DailyCdiJob::Run(
   }
   PeriodResolver resolver(catalog_);
 
-  struct VmSlot {
-    VmDailyOutput out;
-    bool deferred = false;
-    /// Status and partial counters of a failed computation.
-    VmDailyError verr;
-  };
-  std::vector<VmSlot> slots(vms.size());
-
-  auto process_vm = [&](size_t i) {
-    const VmServiceInfo& vm = vms[i];
-    VmSlot& slot = slots[i];
-    // Budget check per VM, not per job: an expired deadline defers every
-    // VM that has not started yet while the ones already in flight finish,
-    // so the result is a consistent prefix of the fleet.
-    if (deadline_.Expired()) {
-      slot.deferred = true;
-      return;
+  // The VMs split into contiguous chunks, one per ParallelFor claim. Each
+  // chunk adds its VMs in input order to a builder of its own, and the
+  // partials merge in chunk order like a shard gather: rows keep input
+  // order, and the builder's exact fold makes every derived bit
+  // independent of the chunking. Without a pool the same loop runs one
+  // chunk.
+  const bool parallel = pool_ != nullptr && vms.size() > 1 &&
+                        vms.size() >= min_parallel_rows_;
+  const size_t num_chunks =
+      parallel ? std::min(vms.size(),
+                          pool_->num_threads() * ThreadPool::kClaimsPerThread)
+               : 1;
+  std::vector<DailyCdiResult> parts(num_chunks);
+  auto run_chunk = [&](size_t c) {
+    DailyCdiResultBuilder part;
+    const size_t end = (c + 1) * vms.size() / num_chunks;
+    for (size_t i = c * vms.size() / num_chunks; i < end; ++i) {
+      // Budget check per VM, not per job: once the deadline expires, every
+      // VM not yet started is deferred, while the ones already in flight
+      // on other threads finish.
+      if (deadline_.Expired()) {
+        part.AddDeferred(end - i);
+        break;
+      }
+      const VmServiceInfo& vm = vms[i];
+      const Interval service = vm.service_period.ClampTo(day);
+      if (service.empty()) {
+        part.AddSkipped();
+        continue;
+      }
+      // The zero-copy read path: a VM never appended to the log was never
+      // interned, so Lookup yields kInvalidId and Query an empty span —
+      // no fallback string search needed.
+      const EventSpan span = log_->Query(
+          EventQuery{.interval = service,
+                     .target_id = GlobalInterner().Lookup(vm.vm_id),
+                     .margin = kEventSearchMargin});
+      VmDailyError verr;
+      auto out_or = ComputeVmDailyCdi(span, vm, day, resolver, *weights_,
+                                      quarantine_, &verr);
+      if (!out_or.ok()) {
+        part.AddFailed(vm.vm_id, verr.status.ToString(), verr.resolve_stats,
+                       verr.quality);
+      } else if (out_or->skipped) {
+        part.AddSkipped();
+      } else {
+        const DataQuality quality = out_or->quality;
+        part.AddVm(std::move(out_or).value(), quality);
+      }
     }
-    const Interval service = vm.service_period.ClampTo(day);
-    if (service.empty()) {
-      slot.out.skipped = true;
-      return;
-    }
-    // The zero-copy read path: a VM never appended to the log was never
-    // interned, so Lookup yields kInvalidId and Query an empty span —
-    // no fallback string search needed.
-    const EventSpan span =
-        log_->Query(EventQuery{.interval = service,
-                               .target_id = GlobalInterner().Lookup(vm.vm_id),
-                               .margin = kEventSearchMargin});
-    auto out_or = ComputeVmDailyCdi(span, vm, day, resolver, *weights_,
-                                    quarantine_, &slot.verr);
-    if (out_or.ok()) slot.out = std::move(out_or).value();
+    parts[c] = std::move(part).Finish();
   };
-
-  if (pool_ != nullptr && vms.size() > 1 &&
-      vms.size() >= min_parallel_rows_) {
-    pool_->ParallelFor(vms.size(), process_vm);
+  if (parallel) {
+    pool_->ParallelFor(num_chunks, run_chunk);
   } else {
-    for (size_t i = 0; i < vms.size(); ++i) process_vm(i);
+    run_chunk(0);
   }
 
-  // Rows keep input order; the builder's exact fold makes the fleet value
-  // independent of it.
+  size_t num_vms = 0;
+  size_t num_events = 0;
+  for (const DailyCdiResult& part : parts) {
+    num_vms += part.per_vm.size();
+    num_events += part.per_event.size();
+  }
   DailyCdiResultBuilder builder;
-  for (size_t i = 0; i < vms.size(); ++i) {
-    VmSlot& slot = slots[i];
-    if (slot.deferred) {
-      builder.AddDeferred(1);
-    } else if (!slot.verr.status.ok()) {
-      builder.AddFailed(vms[i].vm_id, slot.verr.status.ToString(),
-                        slot.verr.resolve_stats, slot.verr.quality);
-    } else if (slot.out.skipped) {
-      builder.AddSkipped();
-    } else {
-      const DataQuality quality = slot.out.quality;
-      builder.AddVm(std::move(slot.out), quality);
-    }
+  builder.Reserve(num_vms, num_events);
+  for (DailyCdiResult& part : parts) {
+    builder.Merge(std::move(part));
+    part = DailyCdiResult();  // frees the moved-from rows now
   }
   DailyCdiResult result = std::move(builder).Finish();
 

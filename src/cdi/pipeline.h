@@ -149,12 +149,13 @@ struct DailyCdiResult {
 };
 
 /// The one assembler of a DailyCdiResult. Every topology feeds it: the
-/// batch job adds its VMs in input order, the streaming engine adds its
-/// resident VMs, and the shard coordinator merges its workers' partial
-/// results. Only mergeable state is accumulated — rows, counters, quality,
-/// resolver stats, error samples, and the integer baseline sums — and the
-/// derived values (`fleet` and the baseline ratios) are computed once, in
-/// Finish(), over the union of rows:
+/// batch job adds each chunk of its VMs to one builder per chunk and then
+/// merges the chunks' partial results in input order, the streaming engine
+/// adds its resident VMs, and the shard coordinator merges its workers'
+/// partial results. Only mergeable state is accumulated — rows, counters,
+/// quality, resolver stats, error samples, and the integer baseline sums —
+/// and the derived values (`fleet` and the baseline ratios) are computed
+/// once, in Finish(), over the union of rows:
 ///
 ///   * fleet CDI folds `per_vm` in arrival order through FleetCdiPartial,
 ///     whose exact accumulators make the bits independent of how the rows
@@ -163,7 +164,9 @@ struct DailyCdiResult {
 ///     fleet_service_time) sums, which are integers and exact in any order.
 ///
 /// first_vm_error and vm_error_samples keep arrival order: merging partials
-/// gives the same samples as adding their VMs one by one in the same order.
+/// gives the same samples as adding their VMs one by one in the same order,
+/// provided no partial itself reached kMaxVmErrorSamples distinct reasons
+/// (a capped partial has already dropped its later reasons).
 class DailyCdiResultBuilder {
  public:
   /// One evaluated VM. `quality` is the VM's final input-integrity record
@@ -178,6 +181,9 @@ class DailyCdiResultBuilder {
   void AddSkipped();
   /// `n` VMs left uncomputed (deadline expired, shard missing, ...).
   void AddDeferred(size_t n);
+  /// Sizes the row vectors for `vms` per-VM and `events` per-event rows, so
+  /// merging partials of known total size never reallocates them.
+  void Reserve(size_t vms, size_t events);
   /// Folds in a partial result assembled elsewhere (for example decoded
   /// from a shard worker). Its derived fields are ignored.
   void Merge(DailyCdiResult&& partial);
@@ -195,8 +201,10 @@ class DailyCdiResultBuilder {
 
 /// The daily CDI job of Sec. V: reads raw events from the event log, resolves
 /// periods, attaches weights, runs Algorithm 1 per VM and category, and
-/// emits the two result tables. VM computations run in parallel on the
-/// Options' pool (the Spark-executor stand-in).
+/// emits the two result tables. VMs are split into contiguous chunks that
+/// run in parallel on the Options' pool (the Spark-executor stand-in); each
+/// chunk builds its own partial result, and the partials merge in chunk
+/// order like a shard gather.
 class DailyCdiJob {
  public:
   /// Everything a job borrows, in one place. All referenced objects must

@@ -79,7 +79,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       "common.pool.parallel_for_items");
   parallel_fors->Increment();
   iterations->Add(n);
-  const size_t num_chunks = std::min(n, num_threads() * 4);
+  const size_t num_chunks = std::min(n, num_threads() * kClaimsPerThread);
   const size_t chunk_size = (n + num_chunks - 1) / num_chunks;
 
   // Chunks are claimed from a shared counter rather than pre-assigned to

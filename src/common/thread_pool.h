@@ -65,12 +65,20 @@ class ThreadPool {
     return result;
   }
 
+  /// ParallelFor splits its range into at most num_threads() * this many
+  /// chunks. A caller that batches its own work (the daily job) makes the
+  /// same number of batches, so each batch is one claim.
+  static constexpr size_t kClaimsPerThread = 64;
+
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// iterations finish. Iterations are chunked to limit task overhead.
-  /// The calling thread claims and executes chunks itself alongside the
-  /// workers, so ParallelFor is safe to call from inside a pool task (and
-  /// on a 1-thread pool) without deadlocking — nested calls simply run
-  /// their chunks on the calling worker. `fn` must not throw.
+  /// iterations finish. Iterations are claimed in chunks of
+  /// ceil(n / min(n, num_threads() * kClaimsPerThread)) contiguous indexes:
+  /// one shared-counter bump per chunk keeps claim overhead low, and up to
+  /// 64 chunks per thread keep uneven iteration costs balanced. The calling
+  /// thread claims and executes chunks itself alongside the workers, so
+  /// ParallelFor is safe to call from inside a pool task (and on a 1-thread
+  /// pool) without deadlocking — nested calls simply run their chunks on
+  /// the calling worker. `fn` must not throw.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

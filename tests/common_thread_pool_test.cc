@@ -56,6 +56,29 @@ TEST(ThreadPoolTest, ParallelForSmallerThanPool) {
   EXPECT_EQ(sum.load(), 3);
 }
 
+TEST(ThreadPoolTest, ParallelForBlockedIndexHoldsNoOtherBack) {
+  // 256 indexes on 4 threads are claimed one at a time, so an index that
+  // blocks its thread cannot hold back any other index: the rest finish on
+  // the other three threads while index 0 waits for them.
+  ThreadPool pool(4);
+  std::atomic<int> others_done{0};
+  std::atomic<int> seen_by_zero{-1};
+  pool.ParallelFor(256, [&](size_t i) {
+    if (i != 0) {
+      ++others_done;
+      return;
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (others_done.load() < 255 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    seen_by_zero = others_done.load();
+  });
+  EXPECT_EQ(seen_by_zero.load(), 255);
+}
+
 TEST(ThreadPoolTest, TasksRunConcurrently) {
   ThreadPool pool(2);
   std::atomic<int> in_flight{0};

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cdi/pipeline.h"
 #include "common/thread_pool.h"
 #include "rules/rule_engine.h"
+#include "shard_equivalence_harness.h"
 #include "sim/scenario.h"
 #include "storage/config_store.h"
 
@@ -44,22 +47,34 @@ TEST(ConcurrencyTest, ParallelDailyJobsOverOneLogAgree) {
   auto reference = job.Run(vms, day);
   ASSERT_TRUE(reference.ok());
 
-  std::atomic<int> mismatches{0};
+  // Four threads run the same pooled job at once; every result must equal
+  // the reference bit for bit, rows in input order included.
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 5;
+  std::vector<std::vector<StatusOr<DailyCdiResult>>> results(kThreads);
   std::vector<std::thread> threads;
-  for (int th = 0; th < 4; ++th) {
-    threads.emplace_back([&]() {
-      for (int i = 0; i < 5; ++i) {
-        auto result = job.Run(vms, day);
-        if (!result.ok() ||
-            result->fleet.performance != reference->fleet.performance ||
-            result->per_event.size() != reference->per_event.size()) {
-          ++mismatches;
-        }
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th]() {
+      for (int i = 0; i < kRunsPerThread; ++i) {
+        results[th].push_back(job.Run(vms, day));
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  for (int th = 0; th < kThreads; ++th) {
+    for (int i = 0; i < kRunsPerThread; ++i) {
+      const StatusOr<DailyCdiResult>& got = results[th][i];
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string what =
+          "thread " + std::to_string(th) + " run " + std::to_string(i);
+      testutil::ShardEquivalenceHarness::ExpectIdentical(*reference, *got,
+                                                         what);
+      EXPECT_EQ(reference->first_vm_error.ToString(),
+                got->first_vm_error.ToString())
+          << what;
+      EXPECT_EQ(reference->vm_error_samples, got->vm_error_samples) << what;
+    }
+  }
 }
 
 TEST(ConcurrencyTest, ParallelRuleMatching) {

@@ -24,14 +24,17 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cdi/aggregate.h"
 #include "cdi/pipeline.h"
 #include "chaos/fault_injector.h"
 #include "chaos/fault_plan.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "flow/backpressure_queue.h"
 #include "obs/statusz.h"
 #include "sim/cloudbot_loop.h"
@@ -520,6 +523,68 @@ TEST_F(OverloadTest, ExpiredDeadlineDefersDailyJobVms) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->vms_deferred, 0u);
   EXPECT_EQ(full->vms_evaluated, vms_.size());
+
+  // A pooled job whose deadline expires mid-run. Chunks finish out of
+  // order on four threads, so the evaluated VMs are not a prefix of the
+  // fleet; still, every VM is counted exactly once, the rows are the
+  // evaluated VMs in input order, and the fleet value folds exactly those
+  // rows. Every 10th VM lies outside the day and is skipped unless
+  // deferred first.
+  std::vector<VmServiceInfo> fleet;
+  std::set<std::string> outside;
+  EventLog fleet_log;
+  for (int v = 0; v < 2048; ++v) {
+    const VmServiceInfo& like = vms_[v % vms_.size()];
+    VmServiceInfo vm = like;
+    vm.vm_id = "fleet-" + std::to_string(v);
+    if (v % 10 == 9) {
+      vm.service_period = Interval(day_.start - Duration::Days(2),
+                                   day_.start - Duration::Days(1));
+      outside.insert(vm.vm_id);
+    }
+    for (const RawEvent& ev : events_) {
+      if (ev.target != like.vm_id) continue;
+      RawEvent copy = ev;
+      copy.target = vm.vm_id;
+      fleet_log.Append(copy);
+    }
+    fleet.push_back(std::move(vm));
+  }
+  ThreadPool pool(4);
+  jopts.log = &fleet_log;
+  jopts.pool = &pool;
+  // The deadline grows until one run ends partway: some VMs evaluated and
+  // some deferred.
+  bool saw_partial = false;
+  for (int ms = 1; ms <= 5000 && !saw_partial; ms += 1 + ms / 2) {
+    jopts.deadline = Deadline::After(Duration::Millis(ms));
+    auto run = DailyCdiJob(jopts).Run(fleet, day_);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string what = "deadline " + std::to_string(ms) + " ms";
+    EXPECT_EQ(run->vms_evaluated + run->vms_skipped + run->vms_failed +
+                  run->vms_deferred,
+              fleet.size())
+        << what;
+    ASSERT_EQ(run->per_vm.size(), run->vms_evaluated) << what;
+    FleetCdiPartial fold;
+    size_t next = 0;
+    for (const VmCdiRecord& row : run->per_vm) {
+      EXPECT_EQ(outside.count(row.vm_id), 0u) << what << " " << row.vm_id;
+      while (next < fleet.size() && fleet[next].vm_id != row.vm_id) ++next;
+      ASSERT_LT(next, fleet.size())
+          << what << ": " << row.vm_id << " is out of input order";
+      ++next;
+      fold.AddVm(row.cdi);
+    }
+    const VmCdi want = fold.Finalize();
+    EXPECT_EQ(run->fleet.unavailability, want.unavailability) << what;
+    EXPECT_EQ(run->fleet.performance, want.performance) << what;
+    EXPECT_EQ(run->fleet.control_plane, want.control_plane) << what;
+    EXPECT_EQ(run->fleet.service_time, want.service_time) << what;
+    if (run->vms_deferred == 0) break;  // the whole job beat the deadline
+    saw_partial = run->vms_evaluated > 0;
+  }
+  EXPECT_TRUE(saw_partial) << "no deadline expired mid-run";
 }
 
 TEST_F(OverloadTest, PreviewDeadlineDefersDirtyVmsWithoutLosingThem) {

@@ -5,6 +5,7 @@
 
 #include "cdi/pipeline.h"
 #include "common/thread_pool.h"
+#include "shard_equivalence_harness.h"
 
 namespace cdibot {
 namespace {
@@ -134,22 +135,86 @@ TEST_F(PipelineTest, PartialDayServiceClamps) {
 }
 
 TEST_F(PipelineTest, ParallelAndSerialAgree) {
-  InjectWindowed("slow_io", "vm-1", T("2024-04-25 08:00"), 60);
-  InjectWindowed("vm_crash", "vm-2", T("2024-04-25 09:00"), 10,
-                 Severity::kFatal);
-  DailyCdiJob serial(JobOptions(*weights_));
-  ThreadPool pool(4);
-  DailyCdiJob::Options parallel_options = JobOptions(*weights_);
-  parallel_options.pool = &pool;
-  parallel_options.min_parallel_rows = 2;
-  DailyCdiJob parallel(parallel_options);
-  auto a = serial.Run(TwoVms(), day_);
-  auto b = parallel.Run(TwoVms(), day_);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->fleet.performance, b->fleet.performance);
-  EXPECT_DOUBLE_EQ(a->fleet.unavailability, b->fleet.unavailability);
-  EXPECT_EQ(a->per_event.size(), b->per_event.size());
+  // A one-level weight model: kInfo performance events weigh in, warning-
+  // or-worse ones fail their VM mid-computation (ordinals 2-4 give three
+  // distinct reasons), and unavailability events are unweighted.
+  auto ticket =
+      TicketRankModel::FromCounts({{"slow_io", 100}, {"packet_loss", 60}}, 4);
+  const EventWeightModel strict =
+      EventWeightModel::Build(std::move(ticket).value(), {.expert_levels = 1})
+          .value();
+  const Interval gone(T("2024-04-20 00:00"), T("2024-04-21 00:00"));
+
+  // 2,400 VMs: on 4 threads that is 256 chunks of 9-10 VMs, so the
+  // skipped (every 11th) and failing (every 7th) VMs straddle many chunk
+  // boundaries.
+  std::vector<VmServiceInfo> vms;
+  std::vector<std::string> want_rows;
+  size_t want_skipped = 0;
+  size_t want_failed = 0;
+  for (int i = 0; i < 2400; ++i) {
+    const std::string id = "vm-" + std::to_string(i);
+    VmServiceInfo vm{.vm_id = id,
+                     .dims = {{"region", "r" + std::to_string(i % 3)},
+                              {"az", "az" + std::to_string(i % 5)}},
+                     .service_period = day_};
+    if (i % 11 == 5) {
+      vm.service_period = gone;
+      ++want_skipped;
+    } else if (i % 7 == 3) {
+      InjectWindowed("slow_io", id.c_str(),
+                     T("2024-04-25 08:00") + Duration::Minutes(i % 60), 3,
+                     static_cast<Severity>(2 + i % 3));
+      ++want_failed;
+    } else {
+      if (i % 13 == 0) {
+        vm.service_period = Interval(
+            day_.start + Duration::Minutes(i % 720), day_.end);
+      }
+      InjectWindowed("slow_io", id.c_str(),
+                     T("2024-04-25 06:00") + Duration::Minutes(i % 600),
+                     1 + i % 17, Severity::kInfo);
+      if (i % 3 == 0) {
+        InjectWindowed("packet_loss", id.c_str(),
+                       T("2024-04-25 14:00") + Duration::Minutes(i % 90),
+                       1 + i % 5, Severity::kInfo);
+      }
+      if (i % 5 == 0) {
+        InjectWindowed("vm_crash", id.c_str(), T("2024-04-25 12:00"),
+                       1 + i % 9, Severity::kFatal);
+      }
+      want_rows.push_back(id);
+    }
+    vms.push_back(std::move(vm));
+  }
+
+  DailyCdiJob::Options options = JobOptions(strict);
+  auto serial_or = DailyCdiJob(options).Run(vms, day_);
+  ASSERT_TRUE(serial_or.ok()) << serial_or.status().ToString();
+  const DailyCdiResult& serial = *serial_or;
+  EXPECT_EQ(serial.vms_skipped, want_skipped);
+  EXPECT_EQ(serial.vms_failed, want_failed);
+  EXPECT_EQ(serial.vms_evaluated, want_rows.size());
+  EXPECT_EQ(serial.vm_error_samples.size(), 3u);
+  // Rows are the evaluated VMs in input order.
+  ASSERT_EQ(serial.per_vm.size(), want_rows.size());
+  for (size_t i = 0; i < want_rows.size(); ++i) {
+    ASSERT_EQ(serial.per_vm[i].vm_id, want_rows[i]) << "row " << i;
+  }
+
+  for (const size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    options.pool = &pool;
+    auto pooled = DailyCdiJob(options).Run(vms, day_);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    const std::string what = std::to_string(threads) + " threads";
+    // No SortRows(): the rows must already be in the same (input) order.
+    testutil::ShardEquivalenceHarness::ExpectIdentical(serial, *pooled, what);
+    EXPECT_EQ(serial.first_vm_error.ToString(),
+              pooled->first_vm_error.ToString())
+        << what;
+    EXPECT_EQ(serial.vm_error_samples, pooled->vm_error_samples) << what;
+  }
 }
 
 TEST_F(PipelineTest, TablesExportExpectedSchemas) {
