@@ -77,8 +77,12 @@ int main() {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    for (const DrilldownGroup& g :
-         RunDrilldown(result->per_vm, {.dimensions = {"arch"}})->groups) {
+    auto by_arch = RunDrilldown(result->per_vm, {.dimensions = {"arch"}});
+    if (!by_arch.ok()) {
+      std::fprintf(stderr, "%s\n", by_arch.status().ToString().c_str());
+      return 1;
+    }
+    for (const DrilldownGroup& g : by_arch->groups) {
       if (g.key == "homogeneous") homog[d] = g.cdi.performance;
       if (g.key == "hybrid") hybrid[d] = g.cdi.performance;
     }

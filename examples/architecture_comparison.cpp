@@ -61,9 +61,13 @@ int main() {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
+    auto by_arch = RunDrilldown(result->per_vm, {.dimensions = {"arch"}});
+    if (!by_arch.ok()) {
+      std::fprintf(stderr, "%s\n", by_arch.status().ToString().c_str());
+      return 1;
+    }
     double homog = 0.0, hybrid = 0.0;
-    for (const DrilldownGroup& g :
-         RunDrilldown(result->per_vm, {.dimensions = {"arch"}})->groups) {
+    for (const DrilldownGroup& g : by_arch->groups) {
       if (g.key == "homogeneous") homog = g.cdi.performance;
       if (g.key == "hybrid") hybrid = g.cdi.performance;
     }

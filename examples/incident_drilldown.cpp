@@ -74,8 +74,12 @@ int main() {
     std::printf("\n=== drill-down by %s ===\n", dim);
     std::printf("%-14s %6s %12s %12s %12s\n", dim, "VMs", "CDI-U", "CDI-P",
                 "CDI-C");
-    for (const DrilldownGroup& g :
-         RunDrilldown(result->per_vm, {.dimensions = {dim}})->groups) {
+    auto by_dim = RunDrilldown(result->per_vm, {.dimensions = {dim}});
+    if (!by_dim.ok()) {
+      std::fprintf(stderr, "%s\n", by_dim.status().ToString().c_str());
+      return 1;
+    }
+    for (const DrilldownGroup& g : by_dim->groups) {
       std::printf("%-14s %6zu %12.6f %12.6f %12.6f\n", g.key.c_str(),
                   g.vm_count, g.cdi.unavailability, g.cdi.performance,
                   g.cdi.control_plane);

@@ -5,9 +5,13 @@
 // previews each snapshot without committing it, and a mid-day crash is
 // survived through a checkpoint/restore round trip. The day ends by
 // cross-checking the streaming snapshot against a full batch rerun.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "cdi/monitor.h"
 #include "cdi/pipeline.h"
@@ -80,13 +84,18 @@ int main() {
     // Simulated process crash mid-day: persist, "restart", resume.
     if (!crashed && crash_at < ev.time) {
       crashed = true;
-      const StreamCheckpoint ckpt = engine.Checkpoint();
-      const Status saved = SaveStreamCheckpoint(ckpt, "/tmp");
+      // One file per process, so concurrent runs never share a checkpoint.
+      const std::string path =
+          (std::filesystem::temp_directory_path() /
+           ("streaming_watchdog_" + std::to_string(::getpid()) + ".ckpt"))
+              .string();
+      const Status saved = SaveStreamCheckpoint(engine.Checkpoint(), path);
       if (!saved.ok()) {
         std::fprintf(stderr, "save: %s\n", saved.ToString().c_str());
         return 1;
       }
-      auto loaded = LoadStreamCheckpoint("/tmp");
+      auto loaded = LoadStreamCheckpoint(path);
+      std::filesystem::remove(path);
       if (!loaded.ok()) {
         std::fprintf(stderr, "load: %s\n",
                      loaded.status().ToString().c_str());

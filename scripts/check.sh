@@ -239,7 +239,9 @@ cmake --build build-asan -j "$JOBS" \
   --target common_test cdi_test stream_test chaos_test storage_test \
            obs_test flow_test overload_test shard_test shard_socket_test \
            shard_socket_equivalence_test fleet_obs_test serve_test \
-           serve_equivalence_test alloc_regression_test sim_test
+           serve_equivalence_test alloc_regression_test sim_test \
+           architecture_comparison incident_drilldown streaming_watchdog \
+           fig8_architecture_comparison
 
 echo "== asan+ubsan: thread pool + retry + Placement + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -255,6 +257,15 @@ echo "== asan+ubsan: chaos + crash-safe storage + observability =="
 ./build-asan/tests/chaos_test
 ./build-asan/tests/storage_test
 ./build-asan/tests/obs_test
+
+echo "== asan+ubsan: example and figure programs =="
+# Each loops over a drill-down result; a range-for over a member of a
+# StatusOr temporary is a stack-use-after-scope that only ASan reports.
+# streaming_watchdog round-trips a checkpoint file mid-day.
+./build-asan/examples/architecture_comparison >/dev/null
+./build-asan/examples/incident_drilldown >/dev/null
+./build-asan/examples/streaming_watchdog >/dev/null
+./build-asan/bench/fig8_architecture_comparison >/dev/null
 
 echo "== asan+ubsan: flow control + surge preset (in-test RSS ceiling) =="
 ./build-asan/tests/flow_test

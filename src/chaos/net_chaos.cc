@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/socket_transport.h"
@@ -86,7 +87,7 @@ class ChaosTransport final : public shard::Transport {
     size_t cut = 0;
     size_t flip_index = 0;
     uint8_t flip_mask = 1;
-    const std::string wire = shard::EncodeWireFrame(frame);
+    const std::string wire = EncodeWireFrame(frame);
     {
       std::lock_guard<std::mutex> lock(dice_->mu);
       Rng& rng = dice_->rng;
@@ -105,10 +106,10 @@ class ChaosTransport final : public shard::Transport {
         cut = static_cast<size_t>(
             rng.UniformInt(1, static_cast<int64_t>(wire.size()) - 1));
       } else if (rng.Bernoulli(plan_.corrupt_probability) &&
-                 wire.size() > shard::kWireHeaderBytes) {
+                 wire.size() > kWireHeaderBytes) {
         fate = Fate::kCorrupt;
         flip_index = static_cast<size_t>(
-            rng.UniformInt(static_cast<int64_t>(shard::kWireHeaderBytes),
+            rng.UniformInt(static_cast<int64_t>(kWireHeaderBytes),
                            static_cast<int64_t>(wire.size()) - 1));
         flip_mask = static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
       } else if (rng.Bernoulli(plan_.duplicate_probability)) {

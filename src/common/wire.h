@@ -1,5 +1,5 @@
-#ifndef CDIBOT_SHARD_WIRE_H_
-#define CDIBOT_SHARD_WIRE_H_
+#ifndef CDIBOT_COMMON_WIRE_H_
+#define CDIBOT_COMMON_WIRE_H_
 
 #include <bit>
 #include <cstdint>
@@ -8,19 +8,39 @@
 #include <string>
 #include <string_view>
 
-#include "common/status.h"
+#include "common/statusor.h"
 #include "common/time.h"
 
-namespace cdibot::shard {
+namespace cdibot {
 
-/// Binary frame writer for the shard protocol. Fixed-width little-endian
+/// Length+CRC framing of one payload, shared by the socket transport's byte
+/// stream and the checkpoint file:
+///
+///   [u32 le length][payload bytes][u32 le crc32(payload)]
+///
+/// The length prefix delimits the payload; the CRC-32 (IEEE) trailer
+/// catches bit rot, torn writes and spliced bytes.
+inline constexpr size_t kWireHeaderBytes = 4;
+inline constexpr size_t kWireTrailerBytes = 4;
+
+/// Wraps `payload` in the framing above.
+std::string EncodeWireFrame(std::string_view payload);
+
+/// Unwraps a buffer holding exactly one frame: DataLoss when the buffer is
+/// shorter than a header and trailer, when the length prefix disagrees with
+/// the buffer's size (truncation or trailing bytes), or when the CRC does
+/// not match. The returned payload views `bytes`.
+StatusOr<std::string_view> DecodeWireFrame(std::string_view bytes);
+
+/// Binary writer for the shard protocol (shard/message.h) and the stream
+/// checkpoint file (storage/stream_checkpoint.h). Fixed-width little-endian
 /// integers, length-prefixed strings, and bit-cast doubles: a double crosses
 /// the wire as its exact IEEE-754 bit pattern, never through a decimal
 /// round-trip, because the sharded-equivalence guarantee is BIT identity —
 /// "%.17g and back" would be equality-up-to-parsing, a strictly weaker
 /// claim. The encoding has no self-description; reader and writer agree on
-/// the message schemas in message.h (the MessageKind tag is the version
-/// joint: unknown kinds are rejected, new kinds extend the enum).
+/// the schemas, and each user carries its own version joint (the shard
+/// protocol's MessageKind tag, the checkpoint file's magic + version).
 class WireWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
@@ -57,7 +77,7 @@ class WireWriter {
  private:
   void PutFixed(const void* p, size_t n) {
     // Little-endian byte order on the wire. The in-process transport never
-    // crosses an endianness boundary, but a socket transport will; byte
+    // crosses an endianness boundary, but sockets and files may; byte
     // swapping here (on the rare big-endian host) keeps frames portable.
     const auto* bytes = static_cast<const unsigned char*>(p);
     if constexpr (std::endian::native == std::endian::big) {
@@ -155,7 +175,7 @@ class WireReader {
   bool AtEnd() const { return pos_ == frame_.size(); }
   Status status() const {
     if (ok_) return Status::OK();
-    return Status::DataLoss("malformed shard frame: " + error_);
+    return Status::DataLoss("malformed wire frame: " + error_);
   }
 
  private:
@@ -188,6 +208,6 @@ class WireReader {
   std::string error_;
 };
 
-}  // namespace cdibot::shard
+}  // namespace cdibot
 
-#endif  // CDIBOT_SHARD_WIRE_H_
+#endif  // CDIBOT_COMMON_WIRE_H_

@@ -64,6 +64,8 @@ struct RawEvent {
   StatusOr<Duration> LoggedDuration() const;
 
   std::string ToString() const;
+
+  bool operator==(const RawEvent&) const = default;
 };
 
 /// An event after period resolution: the (t_s, t_e, w)-ready representation

@@ -10,8 +10,8 @@
 
 #include "cdi/pipeline.h"
 #include "common/statusor.h"
+#include "common/wire.h"
 #include "obs/fleet.h"
-#include "shard/wire.h"
 #include "storage/stream_checkpoint.h"
 #include "weights/event_weights.h"
 
@@ -186,13 +186,10 @@ StatusOr<RequestFrame> DecodeRequestHeader(const std::string& frame);
 StatusOr<ResponseFrame> DecodeResponseHeader(const std::string& frame);
 
 // --- Value codecs shared by requests and responses. Exposed for the
-// round-trip property tests.
-void EncodeRawEvent(WireWriter& w, const RawEvent& ev);
-RawEvent DecodeRawEvent(WireReader& r);
+// round-trip property tests. Raw events and checkpoints travel in the
+// storage-layer codecs of storage/stream_checkpoint.h.
 void EncodeVmServiceInfo(WireWriter& w, const VmServiceInfo& vm);
 VmServiceInfo DecodeVmServiceInfo(WireReader& r);
-void EncodeCheckpoint(WireWriter& w, const StreamCheckpoint& ckpt);
-StreamCheckpoint DecodeCheckpoint(WireReader& r);
 void EncodeSnapshot(WireWriter& w, const ShardSnapshot& snapshot);
 ShardSnapshot DecodeSnapshot(WireReader& r);
 void EncodeWeightSpec(WireWriter& w, const WeightSpec& spec);

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/crc32.h"
 #include "obs/metrics.h"
 
 namespace cdibot::shard {
@@ -51,13 +50,6 @@ const TransportMetrics& Metrics() {
     };
   }();
   return m;
-}
-
-void PutU32Le(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
 uint32_t GetU32Le(const char* p) {
@@ -103,15 +95,6 @@ void SetCloexec(int fd) {
 
 }  // namespace
 
-std::string EncodeWireFrame(std::string_view payload) {
-  std::string out;
-  out.reserve(kWireHeaderBytes + payload.size() + kWireTrailerBytes);
-  PutU32Le(&out, static_cast<uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  PutU32Le(&out, Crc32(payload));
-  return out;
-}
-
 void FrameAssembler::Feed(std::string_view bytes) {
   if (poisoned_) return;
   // Compact the consumed prefix before it grows unbounded.
@@ -139,16 +122,14 @@ StatusOr<std::string> FrameAssembler::Next() {
   const size_t total = kWireHeaderBytes + static_cast<size_t>(len) +
                        kWireTrailerBytes;
   if (avail < total) return Status::NotFound("incomplete frame");
-  const std::string_view payload(buf_.data() + pos_ + kWireHeaderBytes, len);
-  const uint32_t want_crc =
-      GetU32Le(buf_.data() + pos_ + kWireHeaderBytes + len);
-  if (Crc32(payload) != want_crc) {
+  auto payload = DecodeWireFrame(std::string_view(buf_).substr(pos_, total));
+  if (!payload.ok()) {
     poisoned_ = true;
-    error_ = "wire frame CRC mismatch";
+    error_ = payload.status().message();
     Metrics().crc_rejects->Increment();
-    return Status::DataLoss(error_);
+    return payload.status();
   }
-  std::string out(payload);
+  std::string out(*payload);
   pos_ += total;
   if (pos_ == buf_.size()) {
     buf_.clear();

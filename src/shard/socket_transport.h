@@ -11,21 +11,15 @@
 
 #include "common/statusor.h"
 #include "common/time.h"
+#include "common/wire.h"
 #include "shard/channel.h"
 
 namespace cdibot::shard {
 
-/// On-the-wire layout of one frame over a stream socket:
-///
-///   [u32 le length][payload bytes][u32 le crc32(payload)]
-///
-/// The length prefix delimits frames on the byte stream; the CRC32 trailer
-/// (IEEE, the same polynomial the checkpoint store uses) catches the
-/// bit-flips and splices the network chaos layer injects. The payload is an
-/// ordinary message.h frame — the socket layer is pure framing and never
-/// interprets it.
-inline constexpr size_t kWireHeaderBytes = 4;
-inline constexpr size_t kWireTrailerBytes = 4;
+/// One frame over a stream socket is an ordinary message.h frame in the
+/// length+CRC framing of common/wire.h (EncodeWireFrame). The CRC trailer
+/// catches the bit-flips and splices the network chaos layer injects; the
+/// socket layer is pure framing and never interprets the payload.
 
 /// Tuning for a socket endpoint.
 struct SocketTransportOptions {
@@ -35,9 +29,6 @@ struct SocketTransportOptions {
   /// shards are tens of MB at most.
   size_t max_frame_bytes = size_t{256} << 20;
 };
-
-/// Wraps `payload` in the wire framing above.
-std::string EncodeWireFrame(std::string_view payload);
 
 /// Incremental frame reassembly over an arbitrary byte stream: Feed() the
 /// bytes as they arrive (any split — the chaos suite feeds one byte at a

@@ -48,6 +48,26 @@ Status WriteCsvFileAtomic(const dataflow::Table& table,
   return WriteFileAtomic(path, dataflow::ToCsv(table));
 }
 
+namespace {
+
+/// One file covered by a directory manifest.
+struct ManifestEntry {
+  std::string file;    ///< name relative to the manifest's directory
+  uint32_t crc32 = 0;  ///< CRC-32 (IEEE) of the file's bytes
+  uint64_t bytes = 0;  ///< file size, catches truncation cheaply
+};
+
+/// The parsed MANIFEST of an event-log directory. Loaders reject a format
+/// tag they do not recognize rather than misinterpret the partitions.
+struct Manifest {
+  std::string format;
+  std::vector<ManifestEntry> entries;
+};
+
+constexpr char kManifestFileName[] = "MANIFEST";
+
+/// Serialization: first line is the format tag, then one
+/// "<crc32-hex> <bytes> <filename>" line per entry.
 std::string EncodeManifest(const Manifest& manifest) {
   std::string out = manifest.format;
   out += '\n';
@@ -92,6 +112,8 @@ StatusOr<Manifest> ParseManifest(const std::string& text) {
   return manifest;
 }
 
+}  // namespace
+
 Status WriteDirManifest(const std::string& dir, const std::string& format,
                         const std::vector<std::string>& files) {
   Manifest manifest;
@@ -106,11 +128,11 @@ Status WriteDirManifest(const std::string& dir, const std::string& format,
                          EncodeManifest(manifest));
 }
 
-StatusOr<Manifest> VerifyDirManifest(const std::string& dir,
-                                     const std::string& expected_format) {
-  auto text = ReadFileToString(dir + "/" + kManifestFileName);
-  if (!text.ok()) return text.status();
-  CDIBOT_ASSIGN_OR_RETURN(const Manifest manifest, ParseManifest(*text));
+Status VerifyDirManifest(const std::string& dir,
+                         const std::string& expected_format) {
+  CDIBOT_ASSIGN_OR_RETURN(const std::string text,
+                          ReadFileToString(dir + "/" + kManifestFileName));
+  CDIBOT_ASSIGN_OR_RETURN(const Manifest manifest, ParseManifest(text));
   if (manifest.format != expected_format) {
     return Status::DataLoss("unsupported manifest format '" +
                             manifest.format + "' (want '" + expected_format +
@@ -131,7 +153,7 @@ StatusOr<Manifest> VerifyDirManifest(const std::string& dir,
       return Status::DataLoss("CRC mismatch on " + entry.file);
     }
   }
-  return manifest;
+  return Status::OK();
 }
 
 }  // namespace cdibot

@@ -1,7 +1,6 @@
 #ifndef CDIBOT_STORAGE_ATOMIC_IO_H_
 #define CDIBOT_STORAGE_ATOMIC_IO_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,31 +27,12 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents);
 Status WriteCsvFileAtomic(const dataflow::Table& table,
                           const std::string& path);
 
-/// One file covered by a directory manifest.
-struct ManifestEntry {
-  std::string file;     ///< name relative to the manifest's directory
-  uint32_t crc32 = 0;   ///< CRC-32 (IEEE) of the file's bytes
-  uint64_t bytes = 0;   ///< file size, catches truncation cheaply
-};
-
-/// A directory manifest: the integrity footer of checkpoint format v2.
-/// The manifest is written ATOMICALLY and LAST, after every data file it
-/// covers, so its very existence certifies that the directory's contents
-/// were completely written; its CRC entries certify they are still intact.
-struct Manifest {
-  /// Format tag, e.g. "cdibot-checkpoint-v2". Loaders reject manifests
-  /// whose tag they do not recognize rather than misinterpreting them.
-  std::string format;
-  std::vector<ManifestEntry> entries;
-};
-
-inline constexpr char kManifestFileName[] = "MANIFEST";
-
-/// Serialization: first line is the format tag, then one
-/// "<crc32-hex> <bytes> <filename>" line per entry.
-std::string EncodeManifest(const Manifest& manifest);
-StatusOr<Manifest> ParseManifest(const std::string& text);
-
+/// Directory manifest of a saved event log (EventLog::SaveToDir): a format
+/// tag, then the CRC-32 (IEEE) and byte size of each day-partition file. It
+/// is written ATOMICALLY and LAST, after every partition it covers, so its
+/// existence certifies the save completed and its entries certify the
+/// partitions are still intact.
+///
 /// Computes CRC/size of each `files` entry (paths relative to `dir`) and
 /// atomically writes `dir`/MANIFEST. Call only after all data files are
 /// durably in place.
@@ -60,11 +40,11 @@ Status WriteDirManifest(const std::string& dir, const std::string& format,
                         const std::vector<std::string>& files);
 
 /// Loads `dir`/MANIFEST, checks the format tag, and verifies the size and
-/// CRC of every covered file. Returns the manifest when everything checks
-/// out; NotFound when there is no manifest (not a v2 directory); DataLoss
-/// when the tag is wrong or any file is missing, resized, or corrupted.
-StatusOr<Manifest> VerifyDirManifest(const std::string& dir,
-                                     const std::string& expected_format);
+/// CRC of every covered file. NotFound when there is no manifest; DataLoss
+/// when it is malformed, the tag is wrong, or any file is missing, resized,
+/// or corrupted.
+Status VerifyDirManifest(const std::string& dir,
+                         const std::string& expected_format);
 
 }  // namespace cdibot
 

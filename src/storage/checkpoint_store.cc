@@ -52,7 +52,6 @@ StatusOr<StreamCheckpointStore> StreamCheckpointStore::Open(
   uint64_t max_seq = 0;
   bool any = false;
   for (const auto& entry : fs::directory_iterator(root, ec)) {
-    if (!entry.is_directory()) continue;
     const auto seq = SlotSeq(entry.path().filename().string());
     if (!seq.has_value()) continue;
     any = true;
@@ -72,7 +71,6 @@ std::vector<std::string> StreamCheckpointStore::ListSlots() const {
   std::vector<std::pair<uint64_t, std::string>> slots;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {
-    if (!entry.is_directory()) continue;
     const std::string name = entry.path().filename().string();
     const auto seq = SlotSeq(name);
     if (seq.has_value()) slots.emplace_back(*seq, name);
@@ -117,12 +115,6 @@ Status StreamCheckpointStore::Save(const StreamCheckpoint& ckpt,
           const Status injected = options_.io_fault("save");
           if (!injected.ok()) return record(injected);
         }
-        std::error_code ec;
-        fs::create_directories(slot, ec);
-        if (ec) {
-          return record(Status::Unavailable("cannot create slot " + slot +
-                                            ": " + ec.message()));
-        }
         return record(SaveStreamCheckpoint(ckpt, slot));
       },
       deadline);
@@ -132,10 +124,8 @@ Status StreamCheckpointStore::Save(const StreamCheckpoint& ckpt,
       "storage.checkpoint_save_failures");
   if (!saved.ok()) {
     save_failures->Increment();
-    // A failed save must not leave a half-written slot lying around where
-    // LoadLastGood would have to sniff (and reject) it forever.
-    std::error_code ec;
-    fs::remove_all(slot, ec);
+    // WriteFileAtomic removes its temp file on a write failure; an
+    // injected fault fails before any I/O. Either way no slot was created.
     return saved;
   }
   saves->Increment();

@@ -44,16 +44,16 @@ struct CheckpointStoreOptions {
 /// A rotating multi-generation checkpoint store, the recovery substrate of
 /// the supervisor loop. Layout under `root`:
 ///
-///   root/slot-000000/   oldest retained checkpoint (v2 directory)
-///   root/slot-000001/   newest checkpoint
+///   root/slot-000000   oldest retained checkpoint file
+///   root/slot-000001   newest checkpoint file
 ///
-/// Every Save writes a brand-new slot directory and only then prunes old
-/// slots, so the previous good generation exists untouched for the entire
-/// duration of a save — a crash mid-save can never damage it (write-ahead
-/// generation rotation, the same discipline as LevelDB's MANIFEST swap).
-/// LoadLastGood walks generations newest-first, skipping any slot whose
-/// manifest, CRCs, or semantic validation fail, and returns the first
-/// intact one.
+/// Every Save writes a brand-new slot file (SaveStreamCheckpoint, atomic
+/// temp+rename) and only then prunes old slots, so the previous good
+/// generation exists untouched for the entire duration of a save — a crash
+/// mid-save can never damage it (write-ahead generation rotation, the same
+/// discipline as LevelDB's MANIFEST swap). LoadLastGood walks generations
+/// newest-first, skipping any slot whose frame, CRC, or semantic validation
+/// fails, and returns the first intact one.
 class StreamCheckpointStore {
  public:
   /// Opens (creating if needed) a store rooted at `root` and scans existing
@@ -82,7 +82,7 @@ class StreamCheckpointStore {
   /// non-null, receives the number of corrupted generations passed over.
   StatusOr<StreamCheckpoint> LoadLastGood(int* slots_skipped = nullptr);
 
-  /// Slot directory names currently present, oldest first.
+  /// Slot names currently present, oldest first.
   std::vector<std::string> ListSlots() const;
 
   const std::string& root() const { return root_; }

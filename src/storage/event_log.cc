@@ -221,10 +221,8 @@ Status EventLog::SaveToDir(const std::string& dir) const {
 }
 
 StatusOr<EventLog> EventLog::LoadFromDir(const std::string& dir) {
-  auto manifest = VerifyDirManifest(dir, kEventLogManifestFormat);
-  if (!manifest.ok() && !manifest.status().IsNotFound()) {
-    return manifest.status();
-  }
+  const Status manifest = VerifyDirManifest(dir, kEventLogManifestFormat);
+  if (!manifest.ok() && !manifest.IsNotFound()) return manifest;
   CDIBOT_ASSIGN_OR_RETURN(const std::vector<std::string> files,
                           ListEventFiles(dir));
 
@@ -251,12 +249,10 @@ StatusOr<EventLog> EventLog::LoadFromDirLenient(const std::string& dir,
     }
   };
 
-  auto manifest = VerifyDirManifest(dir, kEventLogManifestFormat);
+  const Status manifest = VerifyDirManifest(dir, kEventLogManifestFormat);
   if (!manifest.ok()) {
     out.integrity_suspect = true;
-    if (!manifest.status().IsNotFound()) {
-      note(manifest.status().ToString());
-    }
+    if (!manifest.IsNotFound()) note(manifest.ToString());
   }
   CDIBOT_ASSIGN_OR_RETURN(const std::vector<std::string> files,
                           ListEventFiles(dir));

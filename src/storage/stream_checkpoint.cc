@@ -1,327 +1,179 @@
 #include "storage/stream_checkpoint.h"
 
-#include <filesystem>
+#include <string_view>
+#include <utility>
 
 #include "common/strings.h"
-#include "dataflow/csv.h"
-#include "dataflow/table.h"
 #include "storage/atomic_io.h"
 
 namespace cdibot {
 namespace {
 
-using dataflow::Field;
-using dataflow::Row;
-using dataflow::Schema;
-using dataflow::Table;
-using dataflow::Value;
-using dataflow::ValueType;
+/// Smallest possible wire footprint of one element of each repeated type,
+/// used to bound Count() reads against the remaining frame.
+constexpr size_t kMinEventBytes = 4 + 8 + 4 + 8 + 1 + 4;
+constexpr size_t kMinVmEntryBytes = 4 + 4 + 16;
+constexpr size_t kMinTargetQualityBytes = 4 + 4 * 8;
 
-// Separators for packing a string map into one CSV cell. 0x1f/0x1e are the
-// ASCII unit/record separators and never appear in ids, dimension values,
-// or event attributes.
-constexpr char kPairSep = '\x1e';
-constexpr char kKvSep = '\x1f';
+/// First field of every checkpoint file's payload.
+constexpr std::string_view kCheckpointMagic = "cdibot-stream-checkpoint";
 
-std::string EncodeMap(const std::map<std::string, std::string>& m) {
-  std::string out;
-  for (const auto& [k, v] : m) {
-    if (!out.empty()) out += kPairSep;
-    out += k;
-    out += kKvSep;
-    out += v;
-  }
-  return out;
-}
-
-StatusOr<std::map<std::string, std::string>> DecodeMap(
-    const std::string& encoded) {
-  std::map<std::string, std::string> m;
-  if (encoded.empty()) return m;
-  for (const std::string& pair : StrSplit(encoded, kPairSep)) {
-    const size_t cut = pair.find(kKvSep);
-    if (cut == std::string::npos) {
-      return Status::InvalidArgument("malformed packed map cell");
-    }
-    m[pair.substr(0, cut)] = pair.substr(cut + 1);
-  }
-  return m;
-}
-
-// An empty packed-map cell round-trips through CSV as null.
-StatusOr<std::string> CellString(const Value& v) {
-  if (v.is_null()) return std::string();
-  return v.AsString();
-}
-
-Schema MetaSchema() {
-  return Schema({Field{"key", ValueType::kString},
-                 Field{"value", ValueType::kInt}});
-}
-
-Schema VmSchema() {
-  return Schema({Field{"vm_id", ValueType::kString},
-                 Field{"dims", ValueType::kString},
-                 Field{"service_start_ms", ValueType::kInt},
-                 Field{"service_end_ms", ValueType::kInt}});
-}
-
-Schema EventSchema() {
-  return Schema({Field{"name", ValueType::kString},
-                 Field{"time_ms", ValueType::kInt},
-                 Field{"target", ValueType::kString},
-                 Field{"level", ValueType::kInt},
-                 Field{"expire_ms", ValueType::kInt},
-                 Field{"attrs", ValueType::kString}});
-}
-
-Schema QualitySchema() {
-  return Schema({Field{"target", ValueType::kString},
-                 Field{"received", ValueType::kInt},
-                 Field{"expected", ValueType::kInt},
-                 Field{"quarantined", ValueType::kInt}});
-}
-
-Table EventsToTable(const std::vector<RawEvent>& events) {
-  Table table(EventSchema());
+/// A checkpoint file is outside input: unlike the live wire path, a level
+/// outside the enum is rejected rather than left for quarantine.
+Status CheckSeverities(const std::vector<RawEvent>& events) {
   for (const RawEvent& ev : events) {
-    table.AppendUnchecked({Value(ev.name), Value(ev.time.millis()),
-                           Value(ev.target),
-                           Value(static_cast<int64_t>(ev.level)),
-                           Value(ev.expire_interval.millis()),
-                           Value(EncodeMap(ev.attrs))});
-  }
-  return table;
-}
-
-StatusOr<std::vector<RawEvent>> EventsFromTable(const Table& table) {
-  std::vector<RawEvent> out;
-  out.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Row& row = table.row(i);
-    RawEvent ev;
-    CDIBOT_ASSIGN_OR_RETURN(ev.name, row[0].AsString());
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t time_ms, row[1].AsInt());
-    ev.time = TimePoint::FromMillis(time_ms);
-    CDIBOT_ASSIGN_OR_RETURN(ev.target, row[2].AsString());
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t level, row[3].AsInt());
+    const int level = static_cast<int>(ev.level);
     if (level < 1 || level > kNumSeverityLevels) {
-      return Status::InvalidArgument(StrFormat(
-          "bad severity ordinal %lld", static_cast<long long>(level)));
+      return Status::InvalidArgument(
+          StrFormat("bad severity ordinal %d for %s on %s", level,
+                    ev.name.c_str(), ev.target.c_str()));
     }
-    ev.level = static_cast<Severity>(level);
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t expire_ms, row[4].AsInt());
-    ev.expire_interval = Duration::Millis(expire_ms);
-    CDIBOT_ASSIGN_OR_RETURN(const std::string attrs, CellString(row[5]));
-    CDIBOT_ASSIGN_OR_RETURN(ev.attrs, DecodeMap(attrs));
-    out.push_back(std::move(ev));
   }
-  return out;
-}
-
-std::string PathFor(const std::string& dir, const char* file) {
-  return dir + "/" + file;
+  return Status::OK();
 }
 
 }  // namespace
 
-Status SaveStreamCheckpoint(const StreamCheckpoint& ckpt,
-                            const std::string& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    return Status::NotFound("not a directory: " + dir);
-  }
-
-  Table meta(MetaSchema());
-  auto put = [&meta](const std::string& key, int64_t value) {
-    meta.AppendUnchecked({Value(key), Value(value)});
-  };
-  put("format_version", kStreamCheckpointVersion);
-  put("window_start_ms", ckpt.window.start.millis());
-  put("window_end_ms", ckpt.window.end.millis());
-  put("watermark_ms", ckpt.watermark.millis());
-  put("max_event_time_ms", ckpt.max_event_time.millis());
-  put("events_ingested", static_cast<int64_t>(ckpt.events_ingested));
-  put("events_late", static_cast<int64_t>(ckpt.events_late));
-  put("events_out_of_window",
-      static_cast<int64_t>(ckpt.events_out_of_window));
-  put("events_orphaned", static_cast<int64_t>(ckpt.events_orphaned));
-  put("vms_recomputed", static_cast<int64_t>(ckpt.vms_recomputed));
-  for (size_t i = 0; i < ckpt.quarantined_by_reason.size(); ++i) {
-    put(StrFormat("quarantined_reason_%zu", i),
-        static_cast<int64_t>(ckpt.quarantined_by_reason[i]));
-  }
-  CDIBOT_RETURN_IF_ERROR(
-      WriteCsvFileAtomic(meta, PathFor(dir, "stream_meta.csv")));
-
-  Table vms(VmSchema());
-  for (const CheckpointVmEntry& vm : ckpt.vms) {
-    vms.AppendUnchecked({Value(vm.vm_id), Value(EncodeMap(vm.dims)),
-                         Value(vm.service_period.start.millis()),
-                         Value(vm.service_period.end.millis())});
-  }
-  CDIBOT_RETURN_IF_ERROR(
-      WriteCsvFileAtomic(vms, PathFor(dir, "stream_vms.csv")));
-
-  CDIBOT_RETURN_IF_ERROR(WriteCsvFileAtomic(
-      EventsToTable(ckpt.events), PathFor(dir, "stream_events.csv")));
-  CDIBOT_RETURN_IF_ERROR(
-      WriteCsvFileAtomic(EventsToTable(ckpt.orphan_events),
-                         PathFor(dir, "stream_orphans.csv")));
-
-  Table quality(QualitySchema());
-  for (const CheckpointTargetQuality& q : ckpt.target_quality) {
-    quality.AppendUnchecked({Value(q.target),
-                             Value(static_cast<int64_t>(q.received)),
-                             Value(static_cast<int64_t>(q.expected)),
-                             Value(static_cast<int64_t>(q.quarantined))});
-  }
-  CDIBOT_RETURN_IF_ERROR(
-      WriteCsvFileAtomic(quality, PathFor(dir, "stream_quality.csv")));
-
-  // The manifest goes last: its presence certifies a complete save, its
-  // CRCs detect later corruption. A crash anywhere above leaves either the
-  // previous manifest (still describing the previous, intact files — but
-  // see StreamCheckpointStore, which saves into a fresh slot precisely so
-  // mixed-generation files cannot happen) or no manifest at all.
-  return WriteDirManifest(dir, kStreamCheckpointManifestFormat,
-                          {"stream_meta.csv", "stream_vms.csv",
-                           "stream_events.csv", "stream_orphans.csv",
-                           "stream_quality.csv"});
+void EncodeRawEvent(WireWriter& w, const RawEvent& ev) {
+  w.Str(ev.name);
+  w.Time(ev.time);
+  w.Str(ev.target);
+  w.Dur(ev.expire_interval);
+  w.U8(static_cast<uint8_t>(ev.level));
+  w.StrMap(ev.attrs);
 }
 
-StatusOr<StreamCheckpoint> LoadStreamCheckpoint(const std::string& dir) {
-  // v2 directories carry a MANIFEST; verify integrity before trusting any
-  // byte. Directories without one are legacy v1 saves and get no check.
-  auto manifest = VerifyDirManifest(dir, kStreamCheckpointManifestFormat);
-  const bool have_manifest = manifest.ok();
-  if (!have_manifest && !manifest.status().IsNotFound()) {
-    return manifest.status();
-  }
+RawEvent DecodeRawEvent(WireReader& r) {
+  RawEvent ev;
+  ev.name = r.Str();
+  ev.time = r.Time();
+  ev.target = r.Str();
+  ev.expire_interval = r.Dur();
+  // A level ordinal outside the enum survives decoding on purpose: the
+  // worker's engine quarantines it like any other malformed arrival, so
+  // a corrupted frame degrades data quality instead of dropping silently.
+  ev.level = static_cast<Severity>(r.U8());
+  ev.attrs = r.StrMap();
+  return ev;
+}
 
-  CDIBOT_ASSIGN_OR_RETURN(
-      const Table meta,
-      dataflow::ReadCsvFile(PathFor(dir, "stream_meta.csv"), MetaSchema()));
-  std::map<std::string, int64_t> kv;
-  for (size_t i = 0; i < meta.num_rows(); ++i) {
-    CDIBOT_ASSIGN_OR_RETURN(const std::string key, meta.row(i)[0].AsString());
-    CDIBOT_ASSIGN_OR_RETURN(kv[key], meta.row(i)[1].AsInt());
+void EncodeCheckpoint(WireWriter& w, const StreamCheckpoint& ckpt) {
+  w.Window(ckpt.window);
+  w.Time(ckpt.watermark);
+  w.Time(ckpt.max_event_time);
+  w.U64(ckpt.events_ingested);
+  w.U64(ckpt.events_late);
+  w.U64(ckpt.events_out_of_window);
+  w.U64(ckpt.events_orphaned);
+  w.U64(ckpt.vms_recomputed);
+  w.U32(static_cast<uint32_t>(ckpt.vms.size()));
+  for (const CheckpointVmEntry& vm : ckpt.vms) {
+    w.Str(vm.vm_id);
+    w.StrMap(vm.dims);
+    w.Window(vm.service_period);
   }
-  auto require = [&kv](const char* key) -> StatusOr<int64_t> {
-    auto it = kv.find(key);
-    if (it == kv.end()) {
-      return Status::InvalidArgument(std::string("checkpoint meta missing ") +
-                                     key);
-    }
-    return it->second;
-  };
-  // Unsigned counters must round-trip non-negative; a negative value means
-  // the file was tampered with or corrupted in a CRC-colliding way.
-  auto require_counter = [&require](const char* key) -> StatusOr<uint64_t> {
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t v, require(key));
-    if (v < 0) {
-      return Status::InvalidArgument(
-          StrFormat("checkpoint counter %s is negative (%lld)", key,
-                    static_cast<long long>(v)));
-    }
-    return static_cast<uint64_t>(v);
-  };
-
-  // format_version is absent in v1 checkpoints; anything newer than this
-  // build understands is rejected rather than misread.
-  const auto version_it = kv.find("format_version");
-  const int64_t version =
-      version_it == kv.end() ? 1 : version_it->second;
-  if (version < 1 || version > kStreamCheckpointVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported checkpoint format_version %lld (this build reads <= "
-        "%lld)",
-        static_cast<long long>(version),
-        static_cast<long long>(kStreamCheckpointVersion)));
+  w.U32(static_cast<uint32_t>(ckpt.events.size()));
+  for (const RawEvent& ev : ckpt.events) EncodeRawEvent(w, ev);
+  w.U32(static_cast<uint32_t>(ckpt.orphan_events.size()));
+  for (const RawEvent& ev : ckpt.orphan_events) EncodeRawEvent(w, ev);
+  w.U32(static_cast<uint32_t>(ckpt.quarantined_by_reason.size()));
+  for (uint64_t count : ckpt.quarantined_by_reason) w.U64(count);
+  w.U32(static_cast<uint32_t>(ckpt.target_quality.size()));
+  for (const CheckpointTargetQuality& tq : ckpt.target_quality) {
+    w.Str(tq.target);
+    w.U64(tq.received);
+    w.U64(tq.expected);
+    w.U64(tq.quarantined);
+    w.U64(tq.shed);
   }
+}
 
+StreamCheckpoint DecodeCheckpoint(WireReader& r) {
   StreamCheckpoint ckpt;
-  CDIBOT_ASSIGN_OR_RETURN(const int64_t ws, require("window_start_ms"));
-  CDIBOT_ASSIGN_OR_RETURN(const int64_t we, require("window_end_ms"));
-  ckpt.window =
-      Interval(TimePoint::FromMillis(ws), TimePoint::FromMillis(we));
-  CDIBOT_ASSIGN_OR_RETURN(const int64_t wm, require("watermark_ms"));
-  ckpt.watermark = TimePoint::FromMillis(wm);
-  CDIBOT_ASSIGN_OR_RETURN(const int64_t met, require("max_event_time_ms"));
-  ckpt.max_event_time = TimePoint::FromMillis(met);
+  ckpt.window = r.Window();
+  ckpt.watermark = r.Time();
+  ckpt.max_event_time = r.Time();
+  ckpt.events_ingested = r.U64();
+  ckpt.events_late = r.U64();
+  ckpt.events_out_of_window = r.U64();
+  ckpt.events_orphaned = r.U64();
+  ckpt.vms_recomputed = r.U64();
+  uint32_t n = r.Count(kMinVmEntryBytes);
+  ckpt.vms.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    CheckpointVmEntry vm;
+    vm.vm_id = r.Str();
+    vm.dims = r.StrMap();
+    vm.service_period = r.Window();
+    ckpt.vms.push_back(std::move(vm));
+  }
+  n = r.Count(kMinEventBytes);
+  ckpt.events.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    ckpt.events.push_back(DecodeRawEvent(r));
+  }
+  n = r.Count(kMinEventBytes);
+  ckpt.orphan_events.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    ckpt.orphan_events.push_back(DecodeRawEvent(r));
+  }
+  n = r.Count(8);
+  ckpt.quarantined_by_reason.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    ckpt.quarantined_by_reason.push_back(r.U64());
+  }
+  n = r.Count(kMinTargetQualityBytes);
+  ckpt.target_quality.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    CheckpointTargetQuality tq;
+    tq.target = r.Str();
+    tq.received = r.U64();
+    tq.expected = r.U64();
+    tq.quarantined = r.U64();
+    tq.shed = r.U64();
+    ckpt.target_quality.push_back(std::move(tq));
+  }
+  return ckpt;
+}
+
+Status SaveStreamCheckpoint(const StreamCheckpoint& ckpt,
+                            const std::string& path) {
+  WireWriter w;
+  w.Str(kCheckpointMagic);
+  w.U32(kStreamCheckpointVersion);
+  EncodeCheckpoint(w, ckpt);
+  return WriteFileAtomic(path, EncodeWireFrame(w.frame()));
+}
+
+StatusOr<StreamCheckpoint> LoadStreamCheckpoint(const std::string& path) {
+  CDIBOT_ASSIGN_OR_RETURN(const std::string file, ReadFileToString(path));
+  CDIBOT_ASSIGN_OR_RETURN(const std::string_view payload,
+                          DecodeWireFrame(file));
+  WireReader r(payload);
+  if (r.Str() != kCheckpointMagic) {
+    return Status::DataLoss("not a stream checkpoint: " + path);
+  }
+  const uint32_t version = r.U32();
+  CDIBOT_RETURN_IF_ERROR(r.status());
+  if (version != kStreamCheckpointVersion) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported checkpoint format_version %u (this build "
+                  "reads %u)",
+                  version, kStreamCheckpointVersion));
+  }
+  StreamCheckpoint ckpt = DecodeCheckpoint(r);
+  CDIBOT_RETURN_IF_ERROR(r.status());
+  if (!r.AtEnd()) {
+    return Status::DataLoss("trailing bytes after the checkpoint in " + path);
+  }
   if (ckpt.watermark > ckpt.max_event_time) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint watermark %lld is beyond max_event_time %lld",
-        static_cast<long long>(wm), static_cast<long long>(met)));
+        static_cast<long long>(ckpt.watermark.millis()),
+        static_cast<long long>(ckpt.max_event_time.millis())));
   }
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.events_ingested,
-                          require_counter("events_ingested"));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.events_late, require_counter("events_late"));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.events_out_of_window,
-                          require_counter("events_out_of_window"));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.events_orphaned,
-                          require_counter("events_orphaned"));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.vms_recomputed,
-                          require_counter("vms_recomputed"));
-  for (size_t i = 0;; ++i) {
-    const std::string key = StrFormat("quarantined_reason_%zu", i);
-    if (kv.find(key) == kv.end()) break;
-    CDIBOT_ASSIGN_OR_RETURN(const uint64_t count,
-                            require_counter(key.c_str()));
-    ckpt.quarantined_by_reason.push_back(count);
-  }
-
-  CDIBOT_ASSIGN_OR_RETURN(
-      const Table vms,
-      dataflow::ReadCsvFile(PathFor(dir, "stream_vms.csv"), VmSchema()));
-  for (size_t i = 0; i < vms.num_rows(); ++i) {
-    const Row& row = vms.row(i);
-    CheckpointVmEntry vm;
-    CDIBOT_ASSIGN_OR_RETURN(vm.vm_id, row[0].AsString());
-    CDIBOT_ASSIGN_OR_RETURN(const std::string dims, CellString(row[1]));
-    CDIBOT_ASSIGN_OR_RETURN(vm.dims, DecodeMap(dims));
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t ss, row[2].AsInt());
-    CDIBOT_ASSIGN_OR_RETURN(const int64_t se, row[3].AsInt());
-    vm.service_period =
-        Interval(TimePoint::FromMillis(ss), TimePoint::FromMillis(se));
-    ckpt.vms.push_back(std::move(vm));
-  }
-
-  CDIBOT_ASSIGN_OR_RETURN(const Table events,
-                          dataflow::ReadCsvFile(
-                              PathFor(dir, "stream_events.csv"),
-                              EventSchema()));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.events, EventsFromTable(events));
-  CDIBOT_ASSIGN_OR_RETURN(const Table orphans,
-                          dataflow::ReadCsvFile(
-                              PathFor(dir, "stream_orphans.csv"),
-                              EventSchema()));
-  CDIBOT_ASSIGN_OR_RETURN(ckpt.orphan_events, EventsFromTable(orphans));
-
-  // stream_quality.csv only exists from v2 on; a v1 checkpoint simply has
-  // no quality history.
-  auto quality = dataflow::ReadCsvFile(PathFor(dir, "stream_quality.csv"),
-                                       QualitySchema());
-  if (quality.ok()) {
-    for (size_t i = 0; i < quality->num_rows(); ++i) {
-      const Row& row = quality->row(i);
-      CheckpointTargetQuality q;
-      CDIBOT_ASSIGN_OR_RETURN(q.target, row[0].AsString());
-      CDIBOT_ASSIGN_OR_RETURN(const int64_t received, row[1].AsInt());
-      CDIBOT_ASSIGN_OR_RETURN(const int64_t expected, row[2].AsInt());
-      CDIBOT_ASSIGN_OR_RETURN(const int64_t quarantined, row[3].AsInt());
-      if (received < 0 || expected < 0 || quarantined < 0) {
-        return Status::InvalidArgument(
-            "negative quality counter for target " + q.target);
-      }
-      q.received = static_cast<uint64_t>(received);
-      q.expected = static_cast<uint64_t>(expected);
-      q.quarantined = static_cast<uint64_t>(quarantined);
-      ckpt.target_quality.push_back(std::move(q));
-    }
-  } else if (!quality.status().IsNotFound()) {
-    return quality.status();
-  }
+  CDIBOT_RETURN_IF_ERROR(CheckSeverities(ckpt.events));
+  CDIBOT_RETURN_IF_ERROR(CheckSeverities(ckpt.orphan_events));
   return ckpt;
 }
 

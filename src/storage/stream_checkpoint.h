@@ -8,6 +8,7 @@
 
 #include "common/statusor.h"
 #include "common/time.h"
+#include "common/wire.h"
 #include "event/event.h"
 
 namespace cdibot {
@@ -19,6 +20,8 @@ struct CheckpointVmEntry {
   std::string vm_id;
   std::map<std::string, std::string> dims;
   Interval service_period;
+
+  bool operator==(const CheckpointVmEntry&) const = default;
 };
 
 /// Per-target data-quality counters carried inside a checkpoint, so that
@@ -30,13 +33,12 @@ struct CheckpointTargetQuality {
   uint64_t received = 0;
   uint64_t expected = 0;
   uint64_t quarantined = 0;
-  /// Events shed upstream for this target. Carried only by IN-MEMORY
-  /// checkpoint fragments (shard-rebalance handoff via
-  /// StreamingCdiEngine::ExtractRange/InstallVms); the on-disk CSV format
-  /// deliberately omits it — shed counts are engine-local and re-reported
-  /// by the supervisor after a restore, see
-  /// StreamingCdiEngine::RecordShed.
+  /// Events shed upstream for this target (StreamingCdiEngine::RecordShed).
+  /// Carried by shard-rebalance fragments (ExtractRange/InstallVms) and
+  /// saved in the checkpoint file like every other field.
   uint64_t shed = 0;
+
+  bool operator==(const CheckpointTargetQuality&) const = default;
 };
 
 /// The durable state of a StreamingCdiEngine: everything needed to resume
@@ -68,43 +70,42 @@ struct StreamCheckpoint {
   std::vector<RawEvent> orphan_events;
   /// Quarantine counters indexed by reason ordinal. The storage layer
   /// treats these as opaque counters (it does not depend on the chaos
-  /// library's reason enum); absent in pre-v2 checkpoints.
+  /// library's reason enum).
   std::vector<uint64_t> quarantined_by_reason;
-  /// Per-target delivery/quarantine accounting; absent in pre-v2
-  /// checkpoints.
+  /// Per-target delivery/quarantine accounting.
   std::vector<CheckpointTargetQuality> target_quality;
+
+  bool operator==(const StreamCheckpoint&) const = default;
 };
 
-/// The checkpoint directory format version written by SaveStreamCheckpoint
-/// and the manifest tag that certifies it. Version history:
-///   v1 — four CSVs, plain non-atomic writes, no integrity footer.
-///   v2 — adds stream_quality.csv, every file written via atomic
-///        temp+rename, and a MANIFEST (format tag + CRC-32 + size per
-///        file) written last so a torn save is detectable.
-inline constexpr int64_t kStreamCheckpointVersion = 2;
-inline constexpr char kStreamCheckpointManifestFormat[] =
-    "cdibot-checkpoint-v2";
+/// Format version of the checkpoint file written by SaveStreamCheckpoint.
+/// Versions 1 and 2 were CSV directories and are no longer read.
+inline constexpr uint32_t kStreamCheckpointVersion = 3;
 
-/// Persists `ckpt` under `dir` (which must exist) as a set of CSV files
-/// (stream_meta.csv, stream_vms.csv, stream_events.csv,
-/// stream_orphans.csv, stream_quality.csv) plus a MANIFEST, each written
-/// atomically. Existing checkpoint files in the directory are overwritten,
-/// making the directory a single-slot checkpoint store (see
-/// StreamCheckpointStore in checkpoint_store.h for rotation and last-good
-/// fallback). Dimension keys/values and attribute keys/values must not
-/// contain the 0x1f unit-separator character used to pack them into one
-/// CSV cell.
+/// Persists `ckpt` as one file at `path`, written through WriteFileAtomic:
+/// a length+CRC wire frame (common/wire.h) around a magic tag, the format
+/// version and EncodeCheckpoint's payload. Every field round-trips exactly,
+/// string values may hold any bytes.
 Status SaveStreamCheckpoint(const StreamCheckpoint& ckpt,
-                            const std::string& dir);
+                            const std::string& path);
 
-/// Loads the checkpoint previously saved under `dir`. A v2 directory is
-/// CRC-verified against its MANIFEST first and fails with DataLoss on any
-/// corruption or truncation; a directory without a MANIFEST is read as
-/// legacy v1 (no integrity check, quality counters empty). Checkpoints
-/// declaring a format version newer than kStreamCheckpointVersion are
-/// rejected, as are internally inconsistent ones (watermark beyond
-/// max_event_time, negative counters).
-StatusOr<StreamCheckpoint> LoadStreamCheckpoint(const std::string& dir);
+/// Loads the checkpoint file saved at `path`. NotFound when there is no
+/// file. DataLoss when the frame's length or CRC does not match, the magic
+/// tag is wrong, or the payload is malformed or followed by trailing bytes.
+/// InvalidArgument for another format version, and for states no engine
+/// writes: a watermark beyond max_event_time, or an event whose severity
+/// ordinal is outside the enum.
+StatusOr<StreamCheckpoint> LoadStreamCheckpoint(const std::string& path);
+
+// --- Wire codecs of the checkpoint and its raw events, shared by the file
+// above and the shard protocol (kInstallVms, kRestore, kCheckpoint
+// responses, kIngestBatch). Decoders latch malformed input into the
+// reader's status. DecodeRawEvent lets an out-of-range severity ordinal
+// through: a live engine quarantines it like any other malformed arrival.
+void EncodeRawEvent(WireWriter& w, const RawEvent& ev);
+RawEvent DecodeRawEvent(WireReader& r);
+void EncodeCheckpoint(WireWriter& w, const StreamCheckpoint& ckpt);
+StreamCheckpoint DecodeCheckpoint(WireReader& r);
 
 }  // namespace cdibot
 

@@ -174,7 +174,8 @@ class StreamingCdiEngine {
 
   /// Serializes the engine's durable state (window, watermark, registered
   /// VMs, buffered raw events, quarantine and delivery counters) for
-  /// storage::SaveStreamCheckpoint. The derived per-VM results are not
+  /// SaveStreamCheckpoint (storage/stream_checkpoint.h), which writes it as
+  /// one CRC-framed file. The derived per-VM results are not
   /// persisted; a restored engine lazily recomputes them on the first
   /// snapshot.
   StreamCheckpoint Checkpoint() const;

@@ -150,15 +150,13 @@ TEST_F(ChaosRecoveryTest, CorruptNewestSlotFallsBackToPrevious) {
   }
   ASSERT_TRUE(store.Save(engine.Checkpoint()).ok());
 
-  // Torn write hits the newest generation: corrupt one of its files the
-  // way a partial sync would.
+  // Torn write hits the newest generation: corrupt its file the way a
+  // partial sync would.
   const std::vector<std::string> slots = store.ListSlots();
   ASSERT_EQ(slots.size(), 2u);
   chaos::ChaosInjector injector(chaos::MalformPlan(5));
-  ASSERT_TRUE(injector
-                  .CorruptFile(store.root() + "/" + slots.back() +
-                               "/stream_events.csv")
-                  .ok());
+  ASSERT_TRUE(
+      injector.CorruptFile(store.root() + "/" + slots.back()).ok());
 
   int slots_skipped = 0;
   auto loaded = store.LoadLastGood(&slots_skipped);
@@ -200,9 +198,8 @@ TEST_F(ChaosRecoveryTest, AllSlotsCorruptReportsTheCorruption) {
   ASSERT_TRUE(store.Save(engine.Checkpoint()).ok());
   ASSERT_TRUE(store.Save(engine.Checkpoint()).ok());
   for (const std::string& slot : store.ListSlots()) {
-    std::ofstream(store.root() + "/" + slot + "/MANIFEST",
-                  std::ios::trunc)
-        << "not a manifest\n";
+    std::ofstream(store.root() + "/" + slot, std::ios::trunc)
+        << "not a checkpoint\n";
   }
   // Every generation is damaged: the caller gets the corruption status, not
   // a bland NotFound — "your checkpoints are destroyed" and "you never

@@ -31,7 +31,6 @@
 namespace cdibot {
 namespace {
 
-using shard::EncodeWireFrame;
 using shard::FrameAssembler;
 using shard::SocketListener;
 using shard::SocketTransport;
@@ -113,7 +112,7 @@ TEST(FrameAssemblerTest, SplitsAcrossMultipleFramesAnywhere) {
 
 TEST(FrameAssemblerTest, CrcMismatchIsDataLossAndLatches) {
   std::string wire = EncodeWireFrame("payload to be corrupted");
-  wire[shard::kWireHeaderBytes + 3] ^= 0x20;  // flip one payload bit
+  wire[kWireHeaderBytes + 3] ^= 0x20;  // flip one payload bit
   FrameAssembler asm_;
   asm_.Feed(wire);
   EXPECT_TRUE(asm_.Next().status().IsDataLoss());
@@ -208,7 +207,7 @@ TEST(SocketTransportTest, EofMidFrameIsDataLoss) {
 TEST(SocketTransportTest, CorruptedFrameIsDataLoss) {
   SocketPair pair = MakeUnixPair("corrupt");
   std::string wire = EncodeWireFrame("bit flip incoming");
-  wire[shard::kWireHeaderBytes + 5] ^= 0x01;
+  wire[kWireHeaderBytes + 5] ^= 0x01;
   ASSERT_TRUE(pair.server->SendRaw(wire).ok());
   EXPECT_TRUE(pair.client->Recv(Deadline::After(Duration::Seconds(5)))
                   .status()

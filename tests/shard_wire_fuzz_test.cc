@@ -21,7 +21,6 @@
 namespace cdibot {
 namespace {
 
-using shard::EncodeWireFrame;
 using shard::FrameAssembler;
 
 const Interval kDay{TimePoint::FromMillis(0), TimePoint::FromMillis(86400000)};
@@ -67,7 +66,7 @@ class WireFuzzTest : public ::testing::Test {
     const std::string ckpt_resp = service_.Handle(shard::EncodeCheckpointRequest(4));
     auto hdr = shard::DecodeResponseHeader(ckpt_resp);
     EXPECT_TRUE(hdr.ok() && hdr->status.ok());
-    ckpt_ = shard::DecodeCheckpoint(hdr->reader);
+    ckpt_ = DecodeCheckpoint(hdr->reader);
     EXPECT_TRUE(hdr->reader.ok());
     snapshot_resp_ = service_.Handle(shard::EncodeGather(5, -1));
     hello_resp_ = service_.Handle(shard::EncodeHello(6));
@@ -234,7 +233,7 @@ TEST_F(WireFuzzTest, EveryResponsePrefixTruncationDecodesAsError) {
           payload_ok = hdr->reader.ok();
           break;
         case shard::MessageKind::kCheckpoint:
-          (void)shard::DecodeCheckpoint(hdr->reader);
+          (void)DecodeCheckpoint(hdr->reader);
           payload_ok = hdr->reader.ok();
           break;
         case shard::MessageKind::kHello:
@@ -271,7 +270,7 @@ TEST_F(WireFuzzTest, EveryResponseSingleByteCorruptionNeverCrashes) {
             (void)shard::DecodeSnapshot(hdr->reader);
             break;
           case shard::MessageKind::kCheckpoint:
-            (void)shard::DecodeCheckpoint(hdr->reader);
+            (void)DecodeCheckpoint(hdr->reader);
             break;
           case shard::MessageKind::kHello:
             (void)shard::DecodeHelloInfo(hdr->reader);

@@ -92,21 +92,21 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t> {
         }
         EXPECT_TRUE(engine.Snapshot().ok());
         if (checkpoint_midway) {
-          // Per-seed/per-process directory: ctest runs each seed as its
-          // own process, possibly concurrently, and checkpoints in a
-          // shared TempDir() tear each other's manifest/CSV pairs apart.
-          const std::string dir = ::testing::TempDir() + "/stream_eq_ckpt_" +
-                                  std::to_string(seed) + "_" +
-                                  std::to_string(::getpid());
-          std::filesystem::create_directories(dir);
-          EXPECT_TRUE(SaveStreamCheckpoint(engine.Checkpoint(), dir).ok());
-          auto loaded = LoadStreamCheckpoint(dir);
+          // Per-seed/per-process file: ctest runs each seed as its own
+          // process, possibly concurrently, and a shared name in
+          // TempDir() lets them overwrite each other's checkpoint.
+          const std::string path = ::testing::TempDir() +
+                                   "/stream_eq_ckpt_" +
+                                   std::to_string(seed) + "_" +
+                                   std::to_string(::getpid());
+          EXPECT_TRUE(SaveStreamCheckpoint(engine.Checkpoint(), path).ok());
+          auto loaded = LoadStreamCheckpoint(path);
+          std::filesystem::remove(path);
           EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
           auto restored = StreamingCdiEngine::Restore(*loaded, &catalog_,
                                                       &*weights_, opts);
           EXPECT_TRUE(restored.ok()) << restored.status().ToString();
           engine = std::move(*restored);
-          std::filesystem::remove_all(dir);
         }
       }
     }

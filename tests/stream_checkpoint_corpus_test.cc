@@ -1,18 +1,20 @@
-// Malformed-checkpoint corpus: every way a checkpoint directory can be
-// damaged — torn files, bit rot, missing files, tampered counters, future
-// format versions — and the exact status each one must produce. The restore
+// Malformed-checkpoint corpus: every way a checkpoint file can be damaged —
+// torn writes, bit rot, a foreign file, a future format version, states no
+// engine writes — and the exact status each one must produce. The restore
 // path must refuse to load anything inconsistent rather than resume from a
 // lie; the slot store must retry transient I/O and give up on permanent.
+// "Manifest" in the case names is the file's length+CRC frame.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "storage/atomic_io.h"
+#include "common/wire.h"
 #include "storage/checkpoint_store.h"
 #include "storage/stream_checkpoint.h"
 
@@ -22,10 +24,6 @@ namespace {
 namespace fs = std::filesystem;
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
-
-const std::vector<std::string> kCheckpointFiles = {
-    "stream_meta.csv", "stream_vms.csv", "stream_events.csv",
-    "stream_orphans.csv", "stream_quality.csv"};
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -55,7 +53,8 @@ StreamCheckpoint Golden() {
 
     CheckpointVmEntry vm_a;
     vm_a.vm_id = "vm-a";
-    vm_a.dims = {{"region", "eu"}, {"pool", "general"}};
+    // Values may hold any bytes, the ASCII separators included.
+    vm_a.dims = {{"region", "eu\x1f" "west\x1e" "2"}, {"pool", "general"}};
     vm_a.service_period = ckpt.window;
     ckpt.vms.push_back(vm_a);
     CheckpointVmEntry vm_b;
@@ -66,17 +65,18 @@ StreamCheckpoint Golden() {
     RawEvent ev;
     ev.name = "slow_io";
     ev.time = day + Duration::Hours(2);
-    ev.target = "vm-sev";  // unique marker so tests can patch this row
+    ev.target = "vm-sev";  // unique marker so tests can patch this event
     ev.level = Severity::kCritical;
     ev.expire_interval = Duration::Hours(1);
     ev.attrs["duration_ms"] = "60000";
     ckpt.events.push_back(ev);
     ev.target = "vm-a";
-    ev.attrs.clear();
+    ev.attrs = {{"note", "a\x1e" "b\x1f" "c"}};
     ckpt.events.push_back(ev);
 
     RawEvent orphan = ev;
     orphan.target = "vm-unregistered";
+    orphan.attrs = {{"source", "late"}};
     ckpt.orphan_events.push_back(orphan);
 
     CheckpointTargetQuality q;
@@ -84,6 +84,7 @@ StreamCheckpoint Golden() {
     q.received = 5;
     q.expected = 6;
     q.quarantined = 1;
+    q.shed = 7;
     ckpt.target_quality.push_back(q);
     return ckpt;
 }
@@ -91,105 +92,80 @@ StreamCheckpoint Golden() {
 class CheckpointCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-process directory: ctest may run corpus cases concurrently in
+    // Per-process file: ctest may run corpus cases concurrently in
     // separate processes, and a shared path lets them corrupt each other.
-    dir_ = ::testing::TempDir() + "/ckpt_corpus_" +
-           std::to_string(::getpid());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    ASSERT_TRUE(SaveStreamCheckpoint(Golden(), dir_).ok());
+    path_ = ::testing::TempDir() + "/ckpt_corpus_" +
+            std::to_string(::getpid());
+    ASSERT_TRUE(SaveStreamCheckpoint(Golden(), path_).ok());
+    golden_file_ = ReadAll(path_);
   }
 
-  std::string Path(const std::string& file) const { return dir_ + "/" + file; }
+  void TearDown() override { fs::remove(path_); }
 
-  /// Edits one data file, then re-seals the directory with a fresh valid
-  /// MANIFEST so the semantic validators (not the CRC check) see the edit.
-  void PatchAndReseal(const std::string& file, const std::string& from,
-                      const std::string& to) {
-    std::string text = ReadAll(Path(file));
-    const size_t at = text.find(from);
-    ASSERT_NE(at, std::string::npos) << from << " not in " << file;
-    text.replace(at, from.size(), to);
-    WriteAll(Path(file), text);
-    ASSERT_TRUE(WriteDirManifest(dir_, kStreamCheckpointManifestFormat,
-                                 kCheckpointFiles)
-                    .ok());
+  /// Edits the frame's payload, then re-frames it with a fresh valid CRC so
+  /// the decoder and the semantic checks (not the CRC check) see the edit.
+  void PatchAndReseal(const std::function<void(std::string&)>& edit) {
+    auto payload = DecodeWireFrame(golden_file_);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    std::string patched(*payload);
+    edit(patched);
+    WriteAll(path_, EncodeWireFrame(patched));
   }
 
-  std::string dir_;
+  /// Offset of the format version: right after the length-prefixed magic.
+  static size_t VersionOffset(const std::string& payload) {
+    WireReader r(payload);
+    return 4 + r.Str().size();
+  }
+
+  std::string path_;
+  std::string golden_file_;
 };
 
 TEST_F(CheckpointCorpusTest, RoundTripPreservesEverything) {
-  const StreamCheckpoint golden = Golden();
-  auto loaded = LoadStreamCheckpoint(dir_);
+  auto loaded = LoadStreamCheckpoint(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->window.start, golden.window.start);
-  EXPECT_EQ(loaded->window.end, golden.window.end);
-  EXPECT_EQ(loaded->watermark, golden.watermark);
-  EXPECT_EQ(loaded->max_event_time, golden.max_event_time);
-  EXPECT_EQ(loaded->events_ingested, golden.events_ingested);
-  EXPECT_EQ(loaded->events_late, golden.events_late);
-  EXPECT_EQ(loaded->events_out_of_window, golden.events_out_of_window);
-  EXPECT_EQ(loaded->events_orphaned, golden.events_orphaned);
-  EXPECT_EQ(loaded->vms_recomputed, golden.vms_recomputed);
-  EXPECT_EQ(loaded->quarantined_by_reason, golden.quarantined_by_reason);
-
-  ASSERT_EQ(loaded->vms.size(), 2u);
-  EXPECT_EQ(loaded->vms[0].vm_id, "vm-a");
-  EXPECT_EQ(loaded->vms[0].dims, golden.vms[0].dims);
-  EXPECT_TRUE(loaded->vms[1].dims.empty());
-
-  ASSERT_EQ(loaded->events.size(), 2u);
-  EXPECT_EQ(loaded->events[0].name, "slow_io");
-  EXPECT_EQ(loaded->events[0].time, golden.events[0].time);
-  EXPECT_EQ(loaded->events[0].attrs.at("duration_ms"), "60000");
-  ASSERT_EQ(loaded->orphan_events.size(), 1u);
-  EXPECT_EQ(loaded->orphan_events[0].target, "vm-unregistered");
-
-  ASSERT_EQ(loaded->target_quality.size(), 1u);
-  EXPECT_EQ(loaded->target_quality[0].target, "vm-a");
-  EXPECT_EQ(loaded->target_quality[0].received, 5u);
-  EXPECT_EQ(loaded->target_quality[0].expected, 6u);
-  EXPECT_EQ(loaded->target_quality[0].quarantined, 1u);
+  EXPECT_EQ(*loaded, Golden());
 }
 
 TEST_F(CheckpointCorpusTest, ManifestDetectsMissingFile) {
-  fs::remove(Path("stream_events.csv"));
-  EXPECT_TRUE(LoadStreamCheckpoint(dir_).status().IsDataLoss());
+  // Only the length prefix landed: the frame promises a payload that is
+  // not there.
+  WriteAll(path_, golden_file_.substr(0, kWireHeaderBytes));
+  EXPECT_TRUE(LoadStreamCheckpoint(path_).status().IsDataLoss());
 }
 
 TEST_F(CheckpointCorpusTest, ManifestDetectsTruncation) {
-  std::string text = ReadAll(Path("stream_vms.csv"));
-  ASSERT_GT(text.size(), 5u);
-  text.resize(text.size() - 5);  // the torn write: tail never hit disk
-  WriteAll(Path("stream_vms.csv"), text);
-  EXPECT_TRUE(LoadStreamCheckpoint(dir_).status().IsDataLoss());
+  // The torn write: the tail never hit disk.
+  WriteAll(path_, golden_file_.substr(0, golden_file_.size() - 5));
+  EXPECT_TRUE(LoadStreamCheckpoint(path_).status().IsDataLoss());
 }
 
 TEST_F(CheckpointCorpusTest, ManifestDetectsBitRot) {
-  std::string text = ReadAll(Path("stream_quality.csv"));
+  std::string text = golden_file_;
   text[text.size() / 2] ^= 0x20;  // same size, different bytes
-  WriteAll(Path("stream_quality.csv"), text);
-  EXPECT_TRUE(LoadStreamCheckpoint(dir_).status().IsDataLoss());
+  WriteAll(path_, text);
+  EXPECT_TRUE(LoadStreamCheckpoint(path_).status().IsDataLoss());
 }
 
 TEST_F(CheckpointCorpusTest, WrongManifestTagIsDataLoss) {
-  ASSERT_TRUE(
-      WriteDirManifest(dir_, "cdibot-checkpoint-v999", kCheckpointFiles)
-          .ok());
-  EXPECT_TRUE(LoadStreamCheckpoint(dir_).status().IsDataLoss());
+  PatchAndReseal([](std::string& payload) { payload[4] ^= 0x20; });
+  EXPECT_TRUE(LoadStreamCheckpoint(path_).status().IsDataLoss());
 }
 
 TEST_F(CheckpointCorpusTest, GarbageManifestIsRejected) {
-  WriteAll(Path(kManifestFileName), "not a manifest at all\n");
-  const Status st = LoadStreamCheckpoint(dir_).status();
-  EXPECT_FALSE(st.ok());
-  EXPECT_FALSE(st.IsNotFound());  // garbage is not "no manifest"
+  WriteAll(path_, "not a checkpoint at all\n");
+  const Status st = LoadStreamCheckpoint(path_).status();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();  // not "no checkpoint"
 }
 
 TEST_F(CheckpointCorpusTest, FutureFormatVersionIsRejected) {
-  PatchAndReseal("stream_meta.csv", "format_version,2", "format_version,3");
-  const Status st = LoadStreamCheckpoint(dir_).status();
+  PatchAndReseal([](std::string& payload) {
+    WireWriter w;
+    w.U32(kStreamCheckpointVersion + 1);
+    payload.replace(VersionOffset(payload), 4, w.frame());
+  });
+  const Status st = LoadStreamCheckpoint(path_).status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.message().find("unsupported checkpoint format_version"),
             std::string::npos)
@@ -198,82 +174,47 @@ TEST_F(CheckpointCorpusTest, FutureFormatVersionIsRejected) {
 
 TEST_F(CheckpointCorpusTest, WatermarkBeyondMaxEventTimeIsRejected) {
   // Golden: watermark = day+1h, max_event_time = day+2h. Push the watermark
-  // an hour past max_event_time — an impossible state for the engine.
-  const int64_t wm = (T("2026-05-20 00:00") + Duration::Hours(1)).millis();
-  const int64_t beyond = (T("2026-05-20 00:00") + Duration::Hours(3)).millis();
-  PatchAndReseal("stream_meta.csv",
-                 "watermark_ms," + std::to_string(wm),
-                 "watermark_ms," + std::to_string(beyond));
-  const Status st = LoadStreamCheckpoint(dir_).status();
+  // an hour past max_event_time — an impossible state for the engine. It
+  // follows the version and the window on the wire.
+  PatchAndReseal([](std::string& payload) {
+    WireWriter w;
+    w.Time(T("2026-05-20 00:00") + Duration::Hours(3));
+    payload.replace(VersionOffset(payload) + 4 + 16, 8, w.frame());
+  });
+  const Status st = LoadStreamCheckpoint(path_).status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.message().find("beyond max_event_time"), std::string::npos);
 }
 
-TEST_F(CheckpointCorpusTest, NegativeIngestCounterIsRejected) {
-  PatchAndReseal("stream_meta.csv", "events_ingested,10",
-                 "events_ingested,-10");
-  const Status st = LoadStreamCheckpoint(dir_).status();
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("negative"), std::string::npos);
-}
-
-TEST_F(CheckpointCorpusTest, NegativeQuarantineCounterIsRejected) {
-  PatchAndReseal("stream_meta.csv", "quarantined_reason_1,2",
-                 "quarantined_reason_1,-2");
-  EXPECT_TRUE(LoadStreamCheckpoint(dir_).status().IsInvalidArgument());
-}
-
-TEST_F(CheckpointCorpusTest, NegativeQualityCounterIsRejected) {
-  PatchAndReseal("stream_quality.csv", "vm-a,5,6,1", "vm-a,-5,6,1");
-  const Status st = LoadStreamCheckpoint(dir_).status();
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("negative quality counter"), std::string::npos);
-}
-
-TEST_F(CheckpointCorpusTest, MissingMetaKeyIsRejected) {
-  const int64_t wm = (T("2026-05-20 00:00") + Duration::Hours(1)).millis();
-  PatchAndReseal("stream_meta.csv",
-                 "watermark_ms," + std::to_string(wm) + "\n", "");
-  const Status st = LoadStreamCheckpoint(dir_).status();
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("missing"), std::string::npos);
-}
-
 TEST_F(CheckpointCorpusTest, BadSeverityEventRowIsRejected) {
-  // Find the unique vm-sev event row and stomp its severity ordinal.
-  std::string text = ReadAll(Path("stream_events.csv"));
-  const size_t at = text.find("vm-sev,");
-  ASSERT_NE(at, std::string::npos);
-  text[at + 7] = '9';  // severity is the column right after the target
-  WriteAll(Path("stream_events.csv"), text);
-  ASSERT_TRUE(WriteDirManifest(dir_, kStreamCheckpointManifestFormat,
-                               kCheckpointFiles)
-                  .ok());
-  const Status st = LoadStreamCheckpoint(dir_).status();
+  // Find the unique vm-sev event and stomp its severity ordinal, which
+  // follows the target and the 8-byte expire interval on the wire.
+  PatchAndReseal([](std::string& payload) {
+    const size_t at = payload.find("vm-sev");
+    ASSERT_NE(at, std::string::npos);
+    payload[at + 6 + 8] = 9;
+  });
+  const Status st = LoadStreamCheckpoint(path_).status();
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_NE(st.message().find("bad severity"), std::string::npos);
 }
 
-TEST_F(CheckpointCorpusTest, MalformedPackedMapCellIsRejected) {
-  // vm-b has no dims, so its cell is empty; inject a cell with a pair but
-  // no unit separator between key and value.
-  PatchAndReseal("stream_vms.csv", "vm-b,,", "vm-b,broken-cell,");
-  const Status st = LoadStreamCheckpoint(dir_).status();
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-  EXPECT_NE(st.message().find("malformed packed map"), std::string::npos);
-}
-
-TEST_F(CheckpointCorpusTest, LegacyV1DirectoryWithoutManifestStillLoads) {
-  // Pre-v2 saves have no MANIFEST and no quality file; they load without an
-  // integrity check and with empty quality history.
-  fs::remove(Path(kManifestFileName));
-  fs::remove(Path("stream_quality.csv"));
-  auto loaded = LoadStreamCheckpoint(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->events_ingested, 10u);
-  EXPECT_EQ(loaded->vms.size(), 2u);
-  EXPECT_EQ(loaded->events.size(), 2u);
-  EXPECT_TRUE(loaded->target_quality.empty());
+TEST_F(CheckpointCorpusTest, EveryTruncationAndByteFlipIsDataLoss) {
+  for (size_t len = 0; len < golden_file_.size(); ++len) {
+    WriteAll(path_, golden_file_.substr(0, len));
+    const Status st = LoadStreamCheckpoint(path_).status();
+    ASSERT_TRUE(st.IsDataLoss()) << "prefix " << len << ": " << st.ToString();
+  }
+  for (size_t i = 0; i < golden_file_.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = golden_file_;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      WriteAll(path_, flipped);
+      const Status st = LoadStreamCheckpoint(path_).status();
+      ASSERT_TRUE(st.IsDataLoss())
+          << "byte " << i << " bit " << bit << ": " << st.ToString();
+    }
+  }
 }
 
 // --- StreamCheckpointStore: injected I/O faults against the retry path ----

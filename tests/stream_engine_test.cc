@@ -3,6 +3,7 @@
 // out-of-window rejection, incremental-recompute bookkeeping, and the
 // checkpoint round trip through src/storage.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <optional>
@@ -168,12 +169,13 @@ TEST_F(StreamEngineTest, CheckpointRoundTripPreservesState) {
   ASSERT_TRUE(engine.Ingest(junk).ok());
   const VmCdi before = engine.FleetCdi().value();
 
-  // Own subdirectory: checkpoints saved straight into the shared TempDir()
-  // collide with other test processes doing the same.
-  const std::string dir = ::testing::TempDir() + "/stream_engine_ckpt";
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveStreamCheckpoint(engine.Checkpoint(), dir).ok());
-  auto loaded = LoadStreamCheckpoint(dir);
+  // Per-process file: a shared name in TempDir() collides with other test
+  // processes doing the same.
+  const std::string path = ::testing::TempDir() + "/stream_engine_ckpt_" +
+                           std::to_string(::getpid());
+  ASSERT_TRUE(SaveStreamCheckpoint(engine.Checkpoint(), path).ok());
+  auto loaded = LoadStreamCheckpoint(path);
+  std::filesystem::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->vms.size(), 2u);
   EXPECT_EQ(loaded->events.size(), 2u);

@@ -9,8 +9,8 @@
 #include "cdi/aggregate.h"
 #include "cdi/indicator.h"
 #include "cdi/pipeline.h"
+#include "common/wire.h"
 #include "shard/message.h"
-#include "shard/wire.h"
 
 namespace cdibot {
 namespace {
@@ -142,10 +142,10 @@ TEST(Table4GoldenTest, ShardedGatherPinsWorkedExample) {
                                 DailyCdiResultBuilder* builder) {
     shard::ShardSnapshot snap;
     for (size_t i : idx) snap.result.per_vm.push_back(rows[i]);
-    shard::WireWriter w;
+    WireWriter w;
     shard::EncodeSnapshot(w, snap);
     const std::string frame = std::move(w).Take();
-    shard::WireReader r{std::string_view(frame)};
+    WireReader r{std::string_view(frame)};
     shard::ShardSnapshot decoded = shard::DecodeSnapshot(r);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(decoded.result.per_vm.size(), idx.size());
