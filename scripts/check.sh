@@ -319,7 +319,8 @@ else
   cmake -B build-tsan -S . -DCDIBOT_TSAN=ON >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target obs_test flow_test shard_test shard_socket_test fleet_obs_test \
-             serve_test common_test cdi_test overload_test integration_test
+             serve_test stream_test common_test cdi_test overload_test \
+             integration_test
 
   echo "== tsan: concurrent metrics + tracer hammering =="
   TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/obs_test \
@@ -346,6 +347,14 @@ else
   # Concurrent suite is written to race if the implementation does.
   echo "== tsan: backpressure queue producer/consumer hammering =="
   TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/flow_test \
+      '*Concurrent*'
+
+  # Writers ingest, register and report sheds while a reader checkpoints,
+  # snapshots and extracts a key range: the engine's per-shard locks, its
+  # engine mutex and the state-transfer collector all meet here. The test
+  # is written to race if the lock scopes do.
+  echo "== tsan: streaming engine state transfer racing ingest =="
+  TSAN_OPTIONS="halt_on_error=1" run_filtered ./build-tsan/tests/stream_test \
       '*Concurrent*'
 
   # Concurrent gathers race ingest, rebalance, shard failure and recovery:

@@ -41,16 +41,18 @@ uint32_t StringInterner::Intern(std::string_view s) {
   // rebuild copies the whole map, so doubling keeps total rebuild work
   // linear in the number of distinct strings.
   if (id + 1 >= next_publish_) {
-    auto snap = std::make_shared<LookupSnapshot>();
+    auto snap = std::make_unique<LookupSnapshot>();
     snap->index = index_;
-    snapshot_.store(std::move(snap), std::memory_order_release);
+    snapshot_.store(snap.get(), std::memory_order_release);
+    snapshots_.push_back(std::move(snap));
     next_publish_ = (id + 1) * 2;
   }
   return static_cast<uint32_t>(id);
 }
 
 uint32_t StringInterner::Lookup(std::string_view s) const {
-  if (const auto snap = snapshot_.load(std::memory_order_acquire)) {
+  if (const LookupSnapshot* snap =
+          snapshot_.load(std::memory_order_acquire)) {
     if (auto it = snap->index.find(s); it != snap->index.end()) {
       return it->second;
     }

@@ -24,7 +24,9 @@ namespace cdibot {
 ///    release/acquire ordering. No snapshot, no retry loop.
 ///  * `Lookup(str)` is lock-free on the warm path: it consults an immutable
 ///    snapshot map republished by writers (rebuilt on a capacity-doubling
-///    schedule, so total rebuild work stays O(n) amortized). Strings
+///    schedule, so total rebuild work stays O(n) amortized) through one
+///    acquire load of a raw pointer. Published snapshots are kept until the
+///    interner dies, so a reader never holds a reference count. Strings
 ///    interned since the last republish fall back to a mutex-guarded check
 ///    of the authoritative map — still a hit, just not lock-free until the
 ///    next republish.
@@ -86,7 +88,13 @@ class StringInterner {
   // Republish threshold for the lookup snapshot (doubling schedule).
   size_t next_publish_ = 1;
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
-  std::atomic<std::shared_ptr<const LookupSnapshot>> snapshot_{nullptr};
+  // Every snapshot ever published, guarded by mu_. A reader may still be
+  // inside an older one, so none is freed before the interner; the
+  // doubling schedule bounds their total size at about twice the newest.
+  // Not atomic<shared_ptr>: libstdc++ 12's load() unlocks with relaxed
+  // order, a data race against the next store that TSan reports.
+  std::vector<std::unique_ptr<const LookupSnapshot>> snapshots_;
+  std::atomic<const LookupSnapshot*> snapshot_{nullptr};
 };
 
 /// The process-wide interner the event data plane uses. EventRows interns

@@ -155,7 +155,9 @@ std::string TimePoint::ToDateString() const {
 }
 
 std::string Interval::ToString() const {
-  return "[" + start.ToString() + ", " + end.ToString() + ")";
+  std::string out = "[";
+  out.append(start.ToString()).append(", ").append(end.ToString());
+  return out.append(")");
 }
 
 int64_t Deadline::NowSteadyMillis() {

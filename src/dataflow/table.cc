@@ -19,7 +19,8 @@ std::string Schema::ToString() const {
   for (const Field& f : fields_) {
     parts.push_back(f.name + ":" + std::string(ValueTypeToString(f.type)));
   }
-  return "(" + StrJoin(parts, ", ") + ")";
+  std::string out = "(";
+  return out.append(StrJoin(parts, ", ")).append(")");
 }
 
 bool operator==(const Schema& a, const Schema& b) {

@@ -44,8 +44,8 @@ struct EventSpec {
   /// Fallback duration for kLoggedDuration events missing the attribute.
   Duration default_duration = Duration::Minutes(1);
   /// Names of the start/end detail events for kStateful events.
-  std::string start_detail;
-  std::string end_detail;
+  std::string start_detail{};
+  std::string end_detail{};
 };
 
 /// EventCatalog is the registry of known event names. The Event Extractor

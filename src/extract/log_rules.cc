@@ -1,3 +1,9 @@
+// GCC 12's -Wmaybe-uninitialized misfires inside libstdc++'s std::regex
+// compiler (the std::function move in _NFA::_M_insert_subexpr_*) once the
+// sanitizer builds instrument it; the code is libstdc++'s, not ours, and
+// this file is the one that instantiates it.
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 #include "extract/log_rules.h"
 
 #include "common/strings.h"

@@ -218,18 +218,28 @@ void CollectEvents(const Expression::Node& node, std::set<std::string>* out) {
   }
 }
 
+std::string RenderNode(const Expression::Node& node);
+
+/// "(lhs <op> rhs)", built by appending (a literal-first operator+ chain
+/// trips GCC's -Wrestrict inside libstdc++ at -O3).
+std::string RenderBinary(const Expression::Node& node, const char* op) {
+  std::string out = "(";
+  out.append(RenderNode(*node.lhs)).append(op).append(RenderNode(*node.rhs));
+  return out.append(")");
+}
+
 std::string RenderNode(const Expression::Node& node) {
   switch (node.kind) {
     case Expression::Node::Kind::kEvent:
       return node.event;
     case Expression::Node::Kind::kAnd:
-      return "(" + RenderNode(*node.lhs) + " && " + RenderNode(*node.rhs) +
-             ")";
+      return RenderBinary(node, " && ");
     case Expression::Node::Kind::kOr:
-      return "(" + RenderNode(*node.lhs) + " || " + RenderNode(*node.rhs) +
-             ")";
-    case Expression::Node::Kind::kNot:
-      return "!" + RenderNode(*node.lhs);
+      return RenderBinary(node, " || ");
+    case Expression::Node::Kind::kNot: {
+      std::string out = "!";
+      return out.append(RenderNode(*node.lhs));
+    }
   }
   return "?";
 }

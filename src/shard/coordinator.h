@@ -91,7 +91,7 @@ struct ShardTopologyOptions {
   ShardSessionOptions session;
   SocketTransportOptions socket;
   /// Chaos hook: wraps every freshly dialed socket transport (socket modes
-  /// only). See src/chaos/net_chaos.h.
+  /// only). See tests/net_chaos.h.
   SocketDecorator transport_decorator;
 };
 

@@ -14,6 +14,12 @@ namespace cdibot {
 StatusOr<std::string> ReadFileToString(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::NotFound("cannot open: " + path);
+  // A directory opens fine and reads as empty, indistinguishable from an
+  // empty file; name the real cause instead.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::DataLoss("not a regular file: " + path);
+  }
   std::ostringstream buffer;
   buffer << file.rdbuf();
   if (file.bad()) return Status::Unavailable("read failed: " + path);

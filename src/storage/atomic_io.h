@@ -11,7 +11,8 @@
 namespace cdibot {
 
 /// Reads the whole file into a string. NotFound when the file does not
-/// exist or cannot be opened; Unavailable on a read error mid-stream (the
+/// exist or cannot be opened; DataLoss when the path is not a regular file
+/// (e.g. a directory); Unavailable on a read error mid-stream (the
 /// transient flavor, so RetryPolicy will retry it).
 StatusOr<std::string> ReadFileToString(const std::string& path);
 

@@ -27,15 +27,15 @@ struct CheckpointVmEntry {
 /// Per-target data-quality counters carried inside a checkpoint, so that
 /// degraded-mode accounting survives a restart: how many events a target's
 /// collector announced (expected), how many actually arrived (received),
-/// and how many were quarantined as malformed.
+/// how many were quarantined as malformed, and how many were shed upstream.
 struct CheckpointTargetQuality {
   std::string target;
   uint64_t received = 0;
   uint64_t expected = 0;
   uint64_t quarantined = 0;
   /// Events shed upstream for this target (StreamingCdiEngine::RecordShed).
-  /// Carried by shard-rebalance fragments (ExtractRange/InstallVms) and
-  /// saved in the checkpoint file like every other field.
+  /// Carried by whole checkpoints and rebalance fragments alike: the engine
+  /// fills and reads every row field on one collect/install path.
   uint64_t shed = 0;
 
   bool operator==(const CheckpointTargetQuality&) const = default;
@@ -72,7 +72,7 @@ struct StreamCheckpoint {
   /// treats these as opaque counters (it does not depend on the chaos
   /// library's reason enum).
   std::vector<uint64_t> quarantined_by_reason;
-  /// Per-target delivery/quarantine accounting.
+  /// Per-target delivery/shed/quarantine accounting, one row per target.
   std::vector<CheckpointTargetQuality> target_quality;
 
   bool operator==(const StreamCheckpoint&) const = default;

@@ -70,6 +70,41 @@ uint64_t EventFingerprint(const RawEvent& ev) {
   return std::hash<std::string>{}(canon);
 }
 
+/// [first, last) of the entries of `m` whose keys fall in [lo, hi); hi
+/// nullopt means unbounded, and hi <= lo selects nothing.
+template <typename Map>
+auto KeyRange(Map& m, const std::string& lo,
+              const std::optional<std::string>& hi) {
+  const auto first = m.lower_bound(lo);
+  if (!hi.has_value()) return std::make_pair(first, m.end());
+  return std::make_pair(first, *hi <= lo ? first : m.lower_bound(*hi));
+}
+
+template <typename Map>
+void EraseKeyRange(Map& m, const std::string& lo,
+                   const std::optional<std::string>& hi) {
+  const auto [first, last] = KeyRange(m, lo, hi);
+  m.erase(first, last);
+}
+
+/// Appends one VM's registration and its materialized events to `out`.
+void AppendVm(const VmServiceInfo& info, const EventRows& events,
+              StreamCheckpoint& out) {
+  out.vms.push_back(CheckpointVmEntry{.vm_id = info.vm_id,
+                                      .dims = info.dims.map(),
+                                      .service_period = info.service_period});
+  for (uint32_t row = 0; row < events.size(); ++row) {
+    out.events.push_back(events.Materialize(row));
+  }
+}
+
+void SortByVmId(std::vector<CheckpointVmEntry>& vms) {
+  std::sort(vms.begin(), vms.end(),
+            [](const CheckpointVmEntry& a, const CheckpointVmEntry& b) {
+              return a.vm_id < b.vm_id;
+            });
+}
+
 }  // namespace
 
 StreamingCdiEngine::StreamingCdiEngine(const EventCatalog* catalog,
@@ -116,32 +151,44 @@ Status StreamingCdiEngine::RegisterVm(const VmServiceInfo& vm) {
     return Status::InvalidArgument("vm_id must be non-empty");
   }
   // Adopt any events that arrived before the registration.
-  std::vector<RawEvent> adopted;
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    auto it = orphans_.find(vm.vm_id);
-    if (it != orphans_.end()) {
-      adopted = std::move(it->second);
-      orphans_.erase(it);
-    }
-  }
+  const std::vector<RawEvent> adopted = TakeOrphans(vm.vm_id);
   Shard& shard = *shards_[ShardIndex(vm.vm_id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   VmState& state = shard.vms[vm.vm_id];
   state.info = vm;
-  for (const RawEvent& ev : adopted) state.events.Append(ev);
-  if (!state.dirty) {
-    state.dirty = true;
-    shard.dirty_vms.push_back(vm.vm_id);
-  }
+  shard.Adopt(state, vm.vm_id, adopted);
+  shard.MarkDirty(state, vm.vm_id);
   return Status::OK();
+}
+
+std::vector<RawEvent> StreamingCdiEngine::TakeOrphans(
+    const std::string& target) {
+  std::vector<RawEvent> taken;
+  std::lock_guard<std::mutex> lock(*mu_);
+  auto it = orphans_.find(target);
+  if (it != orphans_.end()) {
+    taken = std::move(it->second);
+    orphans_.erase(it);
+  }
+  return taken;
+}
+
+void StreamingCdiEngine::AdoptIfRegistered(const std::string& target) {
+  Shard& shard = *shards_[ShardIndex(target)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.vms.find(target);
+  if (it == shard.vms.end()) return;
+  shard.Adopt(it->second, target, TakeOrphans(target));
 }
 
 void StreamingCdiEngine::ObserveEventTime(TimePoint t) {
   if (max_event_time_ < t) max_event_time_ = t;
-  const TimePoint candidate = max_event_time_ - options_.allowed_lateness;
-  if (watermark_ < candidate) {
-    watermark_ = candidate;
+  RaiseWatermarkLocked(max_event_time_ - options_.allowed_lateness);
+}
+
+void StreamingCdiEngine::RaiseWatermarkLocked(TimePoint t) {
+  if (watermark_ < t) {
+    watermark_ = t;
     Counters().watermark_ms->Set(static_cast<double>(watermark_.millis()));
   }
 }
@@ -189,10 +236,7 @@ Status StreamingCdiEngine::Ingest(const RawEvent& event) {
     if (it != shard.vms.end()) {
       VmState& state = it->second;
       state.events.Append(event);
-      if (!state.dirty) {
-        state.dirty = true;
-        shard.dirty_vms.push_back(event.target);
-      }
+      shard.MarkDirty(state, event.target);
       return Status::OK();
     }
   }
@@ -206,27 +250,7 @@ Status StreamingCdiEngine::Ingest(const RawEvent& event) {
     ++stats_.events_orphaned;
     Counters().orphaned->Increment();
   }
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.vms.find(event.target);
-    if (it == shard.vms.end()) return Status::OK();
-    // Registration raced us: move the parked events into the VM state.
-    std::vector<RawEvent> parked;
-    {
-      std::lock_guard<std::mutex> inner(*mu_);
-      auto oit = orphans_.find(event.target);
-      if (oit != orphans_.end()) {
-        parked = std::move(oit->second);
-        orphans_.erase(oit);
-      }
-    }
-    VmState& state = it->second;
-    for (const RawEvent& ev : parked) state.events.Append(ev);
-    if (!parked.empty() && !state.dirty) {
-      state.dirty = true;
-      shard.dirty_vms.push_back(event.target);
-    }
-  }
+  AdoptIfRegistered(event.target);
   return Status::OK();
 }
 
@@ -239,10 +263,7 @@ Status StreamingCdiEngine::IngestBatch(const std::vector<RawEvent>& events) {
 
 void StreamingCdiEngine::AdvanceWatermarkTo(TimePoint t) {
   std::lock_guard<std::mutex> lock(*mu_);
-  if (watermark_ < t) {
-    watermark_ = t;
-    Counters().watermark_ms->Set(static_cast<double>(watermark_.millis()));
-  }
+  RaiseWatermarkLocked(t);
 }
 
 void StreamingCdiEngine::ExpectDelivery(const std::string& target,
@@ -262,9 +283,7 @@ void StreamingCdiEngine::RecordShed(const std::string& target,
 
 void StreamingCdiEngine::RecomputeVmLocked(Shard& shard, VmState& state) {
   // Retract the VM's resident contribution before folding the revision in.
-  if (state.has_output && !state.output.skipped && state.error.ok()) {
-    shard.cdi_partial.RemoveVm(state.output.record.cdi);
-  }
+  shard.Retract(state);
 
   // Feed exactly the events the batch job's log query would return for
   // this VM — a zero-copy span over the retention buffer with the same
@@ -301,9 +320,7 @@ void StreamingCdiEngine::RecomputeVmLocked(Shard& shard, VmState& state) {
   }
   state.has_output = true;
   state.dirty = false;
-  if (state.error.ok() && !state.output.skipped) {
-    shard.cdi_partial.AddVm(state.output.record.cdi);
-  }
+  if (state.contributes()) shard.cdi_partial.AddVm(state.output.record.cdi);
 }
 
 size_t StreamingCdiEngine::DrainDirty(const Deadline& deadline) {
@@ -443,74 +460,65 @@ StatusOr<DailyCdiResult> StreamingCdiEngine::SnapshotImpl(
   return result;
 }
 
+void StreamingCdiEngine::CollectTargetsLocked(
+    const std::string& lo, const std::optional<std::string>& hi,
+    StreamCheckpoint& out) const {
+  out.watermark = watermark_;
+  out.max_event_time = max_event_time_;
+  for (auto [it, last] = KeyRange(orphans_, lo, hi); it != last; ++it) {
+    out.orphan_events.insert(out.orphan_events.end(), it->second.begin(),
+                             it->second.end());
+  }
+  // One row per target, merged across the delivery, shed and quarantine
+  // accounting: a target that only ever produced quarantined events still
+  // gets a row, so its counter survives the transfer.
+  std::map<std::string, CheckpointTargetQuality> rows;
+  const auto row = [&](const std::string& target) -> CheckpointTargetQuality& {
+    auto [it, inserted] = rows.try_emplace(target);
+    if (inserted) it->second.target = target;
+    return it->second;
+  };
+  // Fingerprint sets are not persisted: the distinct count travels as
+  // `received` and becomes received_base at the destination, so a
+  // duplicate redelivered across the transfer counts as distinct there.
+  for (auto [it, last] = KeyRange(delivery_, lo, hi); it != last; ++it) {
+    CheckpointTargetQuality& tq = row(it->first);
+    tq.received = it->second.received();
+    tq.expected = it->second.expected;
+  }
+  for (auto [it, last] = KeyRange(shed_by_target_, lo, hi); it != last;
+       ++it) {
+    row(it->first).shed = it->second;
+  }
+  const std::map<std::string, uint64_t> quarantined =
+      quarantine_->counts_by_target();
+  for (auto [it, last] = KeyRange(quarantined, lo, hi); it != last; ++it) {
+    row(it->first).quarantined = it->second;
+  }
+  for (auto& [target, tq] : rows) out.target_quality.push_back(std::move(tq));
+}
+
 StreamCheckpoint StreamingCdiEngine::Checkpoint() const {
   TRACE_SPAN("stream.checkpoint");
   StreamCheckpoint ckpt;
   ckpt.window = options_.window;
   {
     std::lock_guard<std::mutex> lock(*mu_);
-    ckpt.watermark = watermark_;
-    ckpt.max_event_time = max_event_time_;
+    CollectTargetsLocked("", std::nullopt, ckpt);
     ckpt.events_ingested = stats_.events_ingested;
     ckpt.events_late = stats_.events_late;
     ckpt.events_out_of_window = stats_.events_out_of_window;
     ckpt.events_orphaned = stats_.events_orphaned;
     ckpt.vms_recomputed = stats_.vms_recomputed;
-    for (const auto& [target, events] : orphans_) {
-      for (const RawEvent& ev : events) ckpt.orphan_events.push_back(ev);
-    }
-    // Fingerprint sets are not persisted; a restored engine carries the
-    // distinct count forward as received_base.
-    for (const auto& [target, d] : delivery_) {
-      CheckpointTargetQuality tq;
-      tq.target = target;
-      tq.received = d.received();
-      tq.expected = d.expected;
-      ckpt.target_quality.push_back(std::move(tq));
-    }
   }
   ckpt.quarantined_by_reason = quarantine_->CountsByReason();
-  {
-    const std::map<std::string, uint64_t> quarantined =
-        quarantine_->counts_by_target();
-    for (auto& tq : ckpt.target_quality) {
-      if (auto it = quarantined.find(tq.target); it != quarantined.end()) {
-        tq.quarantined = it->second;
-      }
-    }
-    // Targets that only ever produced quarantined events (no manifest, no
-    // attributable delivery) still need a row so the counter survives a
-    // restart.
-    for (const auto& [target, count] : quarantined) {
-      const bool present =
-          std::any_of(ckpt.target_quality.begin(), ckpt.target_quality.end(),
-                      [&](const CheckpointTargetQuality& tq) {
-                        return tq.target == target;
-                      });
-      if (!present) {
-        CheckpointTargetQuality tq;
-        tq.target = target;
-        tq.quarantined = count;
-        ckpt.target_quality.push_back(std::move(tq));
-      }
-    }
-  }
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& [vm_id, state] : shard->vms) {
-      ckpt.vms.push_back(CheckpointVmEntry{
-          .vm_id = state.info.vm_id,
-          .dims = state.info.dims.map(),
-          .service_period = state.info.service_period});
-      for (uint32_t row = 0; row < state.events.size(); ++row) {
-        ckpt.events.push_back(state.events.Materialize(row));
-      }
+      AppendVm(state.info, state.events, ckpt);
     }
   }
-  std::sort(ckpt.vms.begin(), ckpt.vms.end(),
-            [](const CheckpointVmEntry& a, const CheckpointVmEntry& b) {
-              return a.vm_id < b.vm_id;
-            });
+  SortByVmId(ckpt.vms);
   return ckpt;
 }
 
@@ -520,45 +528,14 @@ StatusOr<StreamingCdiEngine> StreamingCdiEngine::Restore(
   options.window = ckpt.window;
   CDIBOT_ASSIGN_OR_RETURN(StreamingCdiEngine engine,
                           Create(catalog, weights, std::move(options)));
-  for (const CheckpointVmEntry& vm : ckpt.vms) {
-    CDIBOT_RETURN_IF_ERROR(engine.RegisterVm(VmServiceInfo{
-        .vm_id = vm.vm_id,
-        .dims = vm.dims,
-        .service_period = vm.service_period}));
-  }
-  // Place buffered events directly: they were already admitted (and
-  // filtered) by the original engine, so they bypass the ingest-side
-  // watermark/window accounting, which is restored verbatim below.
-  for (const RawEvent& ev : ckpt.events) {
-    Shard& shard = *engine.shards_[engine.ShardIndex(ev.target)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.vms.find(ev.target);
-    if (it == shard.vms.end()) {
-      return Status::InvalidArgument(
-          "checkpoint event for unregistered vm: " + ev.target);
-    }
-    it->second.events.Append(ev);
-  }
+  CDIBOT_RETURN_IF_ERROR(engine.InstallVms(ckpt));
   {
     std::lock_guard<std::mutex> lock(*engine.mu_);
-    for (const RawEvent& ev : ckpt.orphan_events) {
-      engine.orphans_[ev.target].push_back(ev);
-    }
-    engine.watermark_ = ckpt.watermark;
-    engine.max_event_time_ = ckpt.max_event_time;
     engine.stats_.events_ingested = ckpt.events_ingested;
     engine.stats_.events_late = ckpt.events_late;
     engine.stats_.events_out_of_window = ckpt.events_out_of_window;
     engine.stats_.events_orphaned = ckpt.events_orphaned;
     engine.stats_.vms_recomputed = ckpt.vms_recomputed;
-    for (const CheckpointTargetQuality& tq : ckpt.target_quality) {
-      DeliveryState& d = engine.delivery_[tq.target];
-      d.expected = tq.expected;
-      d.received_base = tq.received;
-      if (tq.quarantined > 0) {
-        engine.quarantine_->RestoreTargetCount(tq.target, tq.quarantined);
-      }
-    }
   }
   engine.quarantine_->MergeCountsByReason(ckpt.quarantined_by_reason);
   return engine;
@@ -567,83 +544,34 @@ StatusOr<StreamingCdiEngine> StreamingCdiEngine::Restore(
 StreamCheckpoint StreamingCdiEngine::ExtractRange(
     const std::string& lo, const std::optional<std::string>& hi) {
   TRACE_SPAN("stream.extract_range");
-  const auto below_hi = [&](const std::string& id) {
-    return !hi.has_value() || id < *hi;
-  };
   StreamCheckpoint frag;
   frag.window = options_.window;
-
-  // Per-target accounting rows, merged across the delivery/shed/quarantine
-  // maps below (one target may appear in several).
-  std::map<std::string, CheckpointTargetQuality> quality;
-  const auto row = [&](const std::string& target) -> CheckpointTargetQuality& {
-    auto [it, inserted] = quality.try_emplace(target);
-    if (inserted) it->second.target = target;
-    return it->second;
-  };
-
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    auto it = shard->vms.lower_bound(lo);
-    while (it != shard->vms.end() && below_hi(it->first)) {
-      VmState& state = it->second;
-      // Retract the resident contribution, exactly as a recompute would.
-      if (state.has_output && !state.output.skipped && state.error.ok()) {
-        shard->cdi_partial.RemoveVm(state.output.record.cdi);
-      }
-      frag.vms.push_back(CheckpointVmEntry{
-          .vm_id = state.info.vm_id,
-          .dims = state.info.dims.map(),
-          .service_period = state.info.service_period});
-      for (uint32_t r = 0; r < state.events.size(); ++r) {
-        frag.events.push_back(state.events.Materialize(r));
-      }
-      // Stale ids may linger in dirty_vms; DrainDirty skips missing ids.
-      it = shard->vms.erase(it);
+    const auto [first, last] = KeyRange(shard->vms, lo, hi);
+    for (auto it = first; it != last; ++it) {
+      shard->Retract(it->second);
+      AppendVm(it->second.info, it->second.events, frag);
     }
+    // Stale ids may linger in dirty_vms; DrainDirty skips missing ids.
+    shard->vms.erase(first, last);
   }
   {
     std::lock_guard<std::mutex> lock(*mu_);
-    frag.watermark = watermark_;
-    frag.max_event_time = max_event_time_;
-    for (auto it = orphans_.lower_bound(lo);
-         it != orphans_.end() && below_hi(it->first);) {
-      for (RawEvent& ev : it->second) {
-        frag.orphan_events.push_back(std::move(ev));
+    CollectTargetsLocked(lo, hi, frag);
+    EraseKeyRange(orphans_, lo, hi);
+    EraseKeyRange(delivery_, lo, hi);
+    EraseKeyRange(shed_by_target_, lo, hi);
+    // Per-target quarantine attribution moves with the range; the
+    // reason-keyed totals stay behind (they count what THIS engine
+    // diverted, mirroring the engine-local ingest stats).
+    for (CheckpointTargetQuality& tq : frag.target_quality) {
+      if (tq.quarantined > 0) {
+        tq.quarantined = quarantine_->ExtractTargetCount(tq.target);
       }
-      it = orphans_.erase(it);
-    }
-    // Delivery fingerprints collapse into a received count, the same
-    // restore caveat Checkpoint() documents: a duplicate redelivered
-    // across the handoff counts as distinct at the destination.
-    for (auto it = delivery_.lower_bound(lo);
-         it != delivery_.end() && below_hi(it->first);) {
-      CheckpointTargetQuality& tq = row(it->first);
-      tq.received = it->second.received();
-      tq.expected = it->second.expected;
-      it = delivery_.erase(it);
-    }
-    for (auto it = shed_by_target_.lower_bound(lo);
-         it != shed_by_target_.end() && below_hi(it->first);) {
-      row(it->first).shed = it->second;
-      it = shed_by_target_.erase(it);
     }
   }
-  // Per-target quarantine attribution moves with the range; the
-  // reason-keyed totals stay behind (they count what THIS engine
-  // diverted, mirroring the engine-local ingest stats).
-  for (const auto& [target, count] : quarantine_->counts_by_target()) {
-    if (target >= lo && below_hi(target)) {
-      row(target).quarantined = quarantine_->ExtractTargetCount(target);
-    }
-  }
-  for (auto& [target, tq] : quality) {
-    frag.target_quality.push_back(std::move(tq));
-  }
-  std::sort(frag.vms.begin(), frag.vms.end(),
-            [](const CheckpointVmEntry& a, const CheckpointVmEntry& b) {
-              return a.vm_id < b.vm_id;
-            });
+  SortByVmId(frag.vms);
   return frag;
 }
 
@@ -657,39 +585,22 @@ Status StreamingCdiEngine::InstallVms(const StreamCheckpoint& fragment) {
   }
   // Buffered events were already admitted and filtered by the source
   // engine, so they bypass ingest-side watermark/window accounting (the
-  // watermark is unioned below) — the same contract as Restore().
+  // watermark is unioned below).
   for (const RawEvent& ev : fragment.events) {
     Shard& shard = *shards_[ShardIndex(ev.target)];
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.vms.find(ev.target);
     if (it == shard.vms.end()) {
-      return Status::InvalidArgument("fragment event for unregistered vm: " +
-                                     ev.target);
+      return Status::InvalidArgument(
+          "checkpoint event for unregistered vm: " + ev.target);
     }
     it->second.events.Append(ev);
   }
-  for (const RawEvent& ev : fragment.orphan_events) {
-    // The target may have registered here since the extract; adopt
-    // directly in that case, park otherwise.
-    Shard& shard = *shards_[ShardIndex(ev.target)];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.vms.find(ev.target);
-      if (it != shard.vms.end()) {
-        VmState& state = it->second;
-        state.events.Append(ev);
-        if (!state.dirty) {
-          state.dirty = true;
-          shard.dirty_vms.push_back(ev.target);
-        }
-        continue;
-      }
-    }
-    std::lock_guard<std::mutex> lock(*mu_);
-    orphans_[ev.target].push_back(ev);
-  }
   {
     std::lock_guard<std::mutex> lock(*mu_);
+    for (const RawEvent& ev : fragment.orphan_events) {
+      orphans_[ev.target].push_back(ev);
+    }
     for (const CheckpointTargetQuality& tq : fragment.target_quality) {
       if (tq.expected > 0 || tq.received > 0) {
         DeliveryState& d = delivery_[tq.target];
@@ -706,12 +617,12 @@ Status StreamingCdiEngine::InstallVms(const StreamCheckpoint& fragment) {
     }
     // Watermark union: adopt the source's event-time horizon without ever
     // regressing this engine's own.
-    if (max_event_time_ < fragment.max_event_time) {
-      max_event_time_ = fragment.max_event_time;
-    }
-    if (watermark_ < fragment.watermark) watermark_ = fragment.watermark;
-    const TimePoint candidate = max_event_time_ - options_.allowed_lateness;
-    if (watermark_ < candidate) watermark_ = candidate;
+    ObserveEventTime(fragment.max_event_time);
+    RaiseWatermarkLocked(fragment.watermark);
+  }
+  // An orphan's target may have registered here since the extract.
+  for (const RawEvent& ev : fragment.orphan_events) {
+    AdoptIfRegistered(ev.target);
   }
   return Status::OK();
 }

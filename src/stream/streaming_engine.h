@@ -124,9 +124,9 @@ class StreamingCdiEngine {
   /// Ingest, so this is the only way the engine learns about them; at
   /// snapshot time they surface as DataQuality::events_shed on the
   /// target's row, flagging its CDI as degraded-by-overload. Shed counts
-  /// are engine-local and deliberately not persisted in checkpoints
-  /// (mirroring the quarantine fingerprint sets): the supervisor re-reports
-  /// them after a restore if the queue still holds the accounting.
+  /// travel with the target's state: Checkpoint() and ExtractRange() carry
+  /// them, Restore() and InstallVms() fold them back in, so a reporter must
+  /// not re-report sheds that a restored checkpoint already holds.
   void RecordShed(const std::string& target, uint64_t count = 1);
 
   /// Sink holding every event Ingest diverted. Owned by the engine.
@@ -173,16 +173,20 @@ class StreamingCdiEngine {
   StatusOr<DailyCdiResult> Preview(const Deadline& deadline);
 
   /// Serializes the engine's durable state (window, watermark, registered
-  /// VMs, buffered raw events, quarantine and delivery counters) for
+  /// VMs, buffered raw events, orphaned events, per-target delivery/shed/
+  /// quarantine accounting and the engine-wide counters) for
   /// SaveStreamCheckpoint (storage/stream_checkpoint.h), which writes it as
-  /// one CRC-framed file. The derived per-VM results are not
-  /// persisted; a restored engine lazily recomputes them on the first
-  /// snapshot.
+  /// one CRC-framed file. It is the whole-range, non-destructive case of
+  /// ExtractRange: both collect VMs and per-target rows with the same code.
+  /// The derived per-VM results are not persisted; a restored engine
+  /// lazily recomputes them on the first snapshot.
   StreamCheckpoint Checkpoint() const;
 
-  /// Rebuilds an engine from a checkpoint: registers the VMs, replays the
-  /// buffered events, and restores the watermark, so a restarted engine
-  /// resumes exactly where the checkpoint left off.
+  /// Rebuilds an engine from a checkpoint: creates one over the
+  /// checkpoint's window, installs the state with InstallVms(), then
+  /// restores the engine-wide counters. The watermark is the union of the
+  /// fresh engine's and the checkpoint's, which equals the checkpoint's
+  /// whenever `options.allowed_lateness` matches the original engine's.
   static StatusOr<StreamingCdiEngine> Restore(const StreamCheckpoint& ckpt,
                                               const EventCatalog* catalog,
                                               const EventWeightModel* weights,
@@ -191,24 +195,26 @@ class StreamingCdiEngine {
   /// Removes every VM whose id falls in [lo, hi) — hi nullopt means
   /// unbounded — and returns their durable state as a checkpoint FRAGMENT
   /// in the standard StreamCheckpoint format, ready for InstallVms on
-  /// another engine. The fragment carries the range's registered VMs,
-  /// their buffered events, orphaned events for unregistered targets in
-  /// the range (mid-day churn: a VM registering after a rebalance must
-  /// find its early events at its NEW owner), the per-target
-  /// delivery/shed/quarantine accounting, and this engine's watermark pair
-  /// for watermark union at the destination. Extracted VMs' contributions
-  /// are retracted from the partial aggregates; like Checkpoint(),
-  /// delivery fingerprints collapse into a received count. This is the
-  /// shard-rebalance handoff primitive.
+  /// another engine. The fragment holds exactly what Checkpoint() would
+  /// record for the range: registered VMs, their buffered events, orphaned
+  /// events for unregistered targets in the range (mid-day churn: a VM
+  /// registering after a rebalance must find its early events at its NEW
+  /// owner), per-target delivery/shed/quarantine rows, and this engine's
+  /// watermark pair for watermark union at the destination. The engine-wide
+  /// counters stay behind. Extracted VMs' contributions are retracted from
+  /// the partial aggregates; each shard is swept under its own lock, so
+  /// the extraction is atomic per shard against concurrent ingest. This is
+  /// the shard-rebalance handoff primitive.
   StreamCheckpoint ExtractRange(const std::string& lo,
                                 const std::optional<std::string>& hi);
 
-  /// Installs a fragment produced by ExtractRange on another engine:
-  /// registers the VMs, adopts their buffered and orphaned events, folds
-  /// the per-target accounting in additively, and unions the watermark
-  /// (never regressing this engine's own). After extract+install, the
-  /// union of both engines' snapshots is state-identical to the
-  /// pre-handoff pair.
+  /// Installs a fragment produced by ExtractRange (or a whole checkpoint;
+  /// Restore() goes through here): registers the VMs, places their buffered
+  /// events without ingest-side accounting, adopts or parks the orphaned
+  /// events, folds the per-target delivery/shed/quarantine rows in
+  /// additively, and unions the watermark (never regressing this engine's
+  /// own). After extract+install, the union of both engines' snapshots is
+  /// state-identical to the pre-handoff pair.
   Status InstallVms(const StreamCheckpoint& fragment);
 
   StreamingCdiStats stats() const;
@@ -238,6 +244,11 @@ class StreamingCdiEngine {
     /// output for resolver-counter reporting but contributes nothing to
     /// the partial aggregates, mirroring DailyCdiJob::Run.
     Status error;
+
+    /// True iff the VM's output is folded into its shard's partials.
+    bool contributes() const {
+      return has_output && !output.skipped && error.ok();
+    }
   };
 
   struct Shard {
@@ -247,6 +258,27 @@ class StreamingCdiEngine {
     /// merges these instead of re-aggregating the whole fleet.
     FleetCdiPartial cdi_partial;
     std::vector<std::string> dirty_vms;
+
+    /// Queues `state` (registered as `vm_id`) for recompute unless it is
+    /// queued already. Shard lock held.
+    void MarkDirty(VmState& state, const std::string& vm_id) {
+      if (!state.dirty) {
+        state.dirty = true;
+        dirty_vms.push_back(vm_id);
+      }
+    }
+    /// Appends adopted orphan events to `state`, marking it dirty when
+    /// any arrived. Shard lock held.
+    void Adopt(VmState& state, const std::string& vm_id,
+               const std::vector<RawEvent>& events) {
+      for (const RawEvent& ev : events) state.events.Append(ev);
+      if (!events.empty()) MarkDirty(state, vm_id);
+    }
+    /// Removes `state`'s resident contribution from the partials. Shard
+    /// lock held.
+    void Retract(const VmState& state) {
+      if (state.contributes()) cdi_partial.RemoveVm(state.output.record.cdi);
+    }
   };
 
   StreamingCdiEngine(const EventCatalog* catalog,
@@ -265,7 +297,24 @@ class StreamingCdiEngine {
   };
 
   size_t ShardIndex(const std::string& vm_id) const;
+  /// Folds an observed event time into max_event_time_ and the watermark
+  /// (mu_ held).
   void ObserveEventTime(TimePoint t);
+  /// Raises the watermark to `t`; it never regresses (mu_ held).
+  void RaiseWatermarkLocked(TimePoint t);
+  /// Removes and returns the events parked for `target` (takes mu_).
+  std::vector<RawEvent> TakeOrphans(const std::string& target);
+  /// If `target` is registered, moves its parked events into its state
+  /// (takes the shard lock, then mu_ inside it).
+  void AdoptIfRegistered(const std::string& target);
+  /// The one collector of per-target state for Checkpoint and
+  /// ExtractRange (mu_ held): copies the watermark pair, the orphaned
+  /// events of targets in [lo, hi), and one target_quality row per target
+  /// in the range, merging delivery, shed and quarantine counts, sorted by
+  /// target.
+  void CollectTargetsLocked(const std::string& lo,
+                            const std::optional<std::string>& hi,
+                            StreamCheckpoint& out) const;
   /// Recomputes one dirty VM inside `shard` (shard lock held by caller or
   /// exclusivity guaranteed) and updates the shard partials.
   void RecomputeVmLocked(Shard& shard, VmState& state);

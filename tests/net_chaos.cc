@@ -1,4 +1,4 @@
-#include "chaos/net_chaos.h"
+#include "net_chaos.h"
 
 #include <chrono>
 #include <map>

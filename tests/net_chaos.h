@@ -1,5 +1,5 @@
-#ifndef CDIBOT_CHAOS_NET_CHAOS_H_
-#define CDIBOT_CHAOS_NET_CHAOS_H_
+#ifndef CDIBOT_TESTS_NET_CHAOS_H_
+#define CDIBOT_TESTS_NET_CHAOS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -83,4 +83,4 @@ shard::SocketDecorator MakeChaosDecorator(NetFaultPlan plan);
 
 }  // namespace cdibot::chaos
 
-#endif  // CDIBOT_CHAOS_NET_CHAOS_H_
+#endif  // CDIBOT_TESTS_NET_CHAOS_H_

@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "chaos/net_chaos.h"
+#include "net_chaos.h"
 #include "shard_equivalence_harness.h"
 
 namespace cdibot {

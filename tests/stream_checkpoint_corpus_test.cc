@@ -255,6 +255,35 @@ TEST(CheckpointStoreFaultTest, PermanentInjectedFaultAbortsSaveCleanly) {
   EXPECT_TRUE(store->ListSlots().empty());
 }
 
+TEST_F(CheckpointCorpusTest, DirectoryIsDataLossNotAnEmptyFile) {
+  const std::string dir = path_ + "_dir";
+  fs::create_directory(dir);
+  const Status st = LoadStreamCheckpoint(dir).status();
+  fs::remove(dir);
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  EXPECT_EQ(st.message(), "not a regular file: " + dir);
+  // A missing path stays NotFound.
+  EXPECT_TRUE(LoadStreamCheckpoint(dir).status().IsNotFound());
+}
+
+TEST(CheckpointStoreFaultTest, DirectorySlotFallsBackToOlderFile) {
+  // A pre-format checkpoint was a directory named like a slot; the store
+  // skips it as corrupt and loads the newest real file.
+  const std::string root = ::testing::TempDir() + "/store_dir_slot_" +
+                           std::to_string(::getpid());
+  fs::remove_all(root);
+  auto store = StreamCheckpointStore::Open(root);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Save(Golden()).ok());
+  fs::create_directory(root + "/slot-000099");
+  int skipped = 0;
+  auto loaded = store->LoadLastGood(&skipped);
+  fs::remove_all(root);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, Golden());
+  EXPECT_EQ(skipped, 1);
+}
+
 TEST(CheckpointStoreFaultTest, LoadRetriesTransientInjectedFaults) {
   const std::string root = ::testing::TempDir() + "/store_load_transient";
   fs::remove_all(root);

@@ -1,13 +1,18 @@
 // Unit tests of StreamingCdiEngine internals the differential suite does
 // not pin directly: watermark/lateness accounting, orphan adoption,
-// out-of-window rejection, incremental-recompute bookkeeping, and the
-// checkpoint round trip through src/storage.
+// out-of-window rejection, incremental-recompute bookkeeping, the
+// checkpoint round trip through src/storage, and the single state-transfer
+// path shared by Checkpoint/Restore and ExtractRange/InstallVms.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cdi/monitor.h"
@@ -53,6 +58,58 @@ class StreamEngineTest : public ::testing::Test {
     ev.level = Severity::kCritical;
     ev.expire_interval = Duration::Hours(24);
     return ev;
+  }
+
+  /// The state-transfer fixture: registered VMs vm-a..vm-e with events,
+  /// an orphan for the unregistered vm-c2, a delivery manifest with a
+  /// shortfall on vm-b, a malformed event as vm-c's only arrival, sheds on
+  /// vm-b and vm-d, and an event with no target (quarantined, no row).
+  void Feed(StreamingCdiEngine& engine) const {
+    for (const char* id : {"vm-a", "vm-b", "vm-c", "vm-d", "vm-e"}) {
+      ASSERT_TRUE(engine.RegisterVm(Vm(id)).ok());
+    }
+    for (const char* id : {"vm-a", "vm-b", "vm-d", "vm-e"}) {
+      ASSERT_TRUE(engine.Ingest(SlowIo(id, 60)).ok());
+      ASSERT_TRUE(engine.Ingest(SlowIo(id, 400)).ok());
+    }
+    ASSERT_TRUE(engine.Ingest(SlowIo("vm-c2", 90)).ok());
+    engine.ExpectDelivery("vm-b", 5);
+    RawEvent nameless = SlowIo("vm-c", 30);
+    nameless.name.clear();
+    ASSERT_TRUE(engine.Ingest(nameless).ok());
+    RawEvent untargeted = SlowIo("", 30);
+    ASSERT_TRUE(engine.Ingest(untargeted).ok());
+    engine.RecordShed("vm-b", 3);
+    engine.RecordShed("vm-d", 2);
+  }
+
+  /// Per-VM rows with their CDI and data quality, for EXPECT_EQ.
+  using Row = std::tuple<std::string, double, double, double, int64_t,
+                         uint64_t, uint64_t, uint64_t, bool>;
+  static std::vector<Row> Rows(const DailyCdiResult& result) {
+    std::vector<Row> rows;
+    for (const VmCdiRecord& r : result.per_vm) {
+      rows.emplace_back(r.vm_id, r.cdi.unavailability, r.cdi.performance,
+                        r.cdi.control_plane, r.cdi.service_time.millis(),
+                        r.quality.events_quarantined, r.quality.events_missing,
+                        r.quality.events_shed, r.quality.degraded);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  StatusOr<StreamingCdiEngine> SaveLoadRestore(
+      const StreamingCdiEngine& engine) {
+    // Per-process file: a shared name in TempDir() collides with other test
+    // processes doing the same.
+    const std::string path = ::testing::TempDir() + "/stream_engine_ckpt_" +
+                             std::to_string(::getpid());
+    CDIBOT_RETURN_IF_ERROR(SaveStreamCheckpoint(engine.Checkpoint(), path));
+    auto loaded = LoadStreamCheckpoint(path);
+    std::filesystem::remove(path);
+    CDIBOT_RETURN_IF_ERROR(loaded.status());
+    return StreamingCdiEngine::Restore(*loaded, &catalog_, &*weights_,
+                                       StreamingCdiOptions{.window = day_});
   }
 
   EventCatalog catalog_;
@@ -197,6 +254,146 @@ TEST_F(StreamEngineTest, CheckpointRoundTripPreservesState) {
   // The restored engine keeps streaming: the orphan's VM shows up late.
   ASSERT_TRUE(restored->RegisterVm(Vm("vm-orphan")).ok());
   EXPECT_EQ(restored->Snapshot().value().per_vm.size(), 3u);
+}
+
+TEST_F(StreamEngineTest, ShedSurvivesCheckpointRestore) {
+  auto engine = MakeEngine();
+  Feed(engine);
+  auto restored = SaveLoadRestore(engine);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->stats().events_shed, 5u);
+  EXPECT_EQ(restored->stats().events_shed, engine.stats().events_shed);
+  const DailyCdiResult before = engine.Snapshot().value();
+  const DailyCdiResult after = restored->Snapshot().value();
+  EXPECT_EQ(Rows(after), Rows(before));
+  EXPECT_EQ(after.quality.events_shed, before.quality.events_shed);
+  EXPECT_EQ(after.quality.events_missing, before.quality.events_missing);
+  EXPECT_EQ(after.quality.events_quarantined,
+            before.quality.events_quarantined);
+  // A second round trip neither loses nor doubles the accounting.
+  auto again = SaveLoadRestore(*restored);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Rows(again->Snapshot().value()), Rows(before));
+  EXPECT_EQ(again->stats().events_shed, 5u);
+}
+
+TEST_F(StreamEngineTest, CheckpointEqualsWholeRangeExtract) {
+  auto kept = MakeEngine();
+  auto drained = MakeEngine();
+  Feed(kept);
+  Feed(drained);
+  // Resident outputs exercise the retraction on the extract side.
+  ASSERT_TRUE(kept.Snapshot().ok());
+  ASSERT_TRUE(drained.Snapshot().ok());
+  const StreamCheckpoint ckpt = kept.Checkpoint();
+  const StreamCheckpoint frag = drained.ExtractRange("", std::nullopt);
+  EXPECT_EQ(ckpt.vms, frag.vms);
+  EXPECT_EQ(ckpt.events, frag.events);
+  EXPECT_EQ(ckpt.orphan_events, frag.orphan_events);
+  EXPECT_EQ(ckpt.target_quality, frag.target_quality);
+  EXPECT_EQ(ckpt.watermark, frag.watermark);
+  EXPECT_EQ(ckpt.max_event_time, frag.max_event_time);
+  EXPECT_EQ(ckpt.vms.size(), 5u);
+  EXPECT_EQ(ckpt.orphan_events.size(), 1u);
+  // Rows are sorted by target, one per target.
+  EXPECT_TRUE(std::is_sorted(
+      ckpt.target_quality.begin(), ckpt.target_quality.end(),
+      [](const CheckpointTargetQuality& a, const CheckpointTargetQuality& b) {
+        return a.target < b.target;
+      }));
+  // The checkpoint is non-destructive; the extract empties the engine.
+  EXPECT_EQ(kept.num_vms(), 5u);
+  EXPECT_EQ(drained.num_vms(), 0u);
+  EXPECT_TRUE(drained.Checkpoint().target_quality.empty());
+  EXPECT_EQ(drained.FleetCdi().value().performance, 0.0);
+}
+
+TEST_F(StreamEngineTest, ExtractInstallPreservesUnion) {
+  auto source = MakeEngine();
+  auto reference = MakeEngine();
+  Feed(source);
+  Feed(reference);
+  ASSERT_TRUE(source.Snapshot().ok());
+  auto dest = MakeEngine();
+  const StreamCheckpoint frag = source.ExtractRange("vm-b", "vm-d");
+  EXPECT_EQ(frag.vms.size(), 2u);  // vm-b, vm-c
+  EXPECT_EQ(frag.orphan_events.size(), 1u);  // vm-c2
+  ASSERT_TRUE(dest.InstallVms(frag).ok());
+  // The orphan's VM registers after the handoff, at its new owner.
+  ASSERT_TRUE(dest.RegisterVm(Vm("vm-c2")).ok());
+  ASSERT_TRUE(reference.RegisterVm(Vm("vm-c2")).ok());
+
+  const DailyCdiResult left = source.Snapshot().value();
+  const DailyCdiResult right = dest.Snapshot().value();
+  std::vector<Row> merged = Rows(left);
+  const std::vector<Row> moved = Rows(right);
+  merged.insert(merged.end(), moved.begin(), moved.end());
+  std::sort(merged.begin(), merged.end());
+  const DailyCdiResult whole = reference.Snapshot().value();
+  EXPECT_EQ(merged, Rows(whole));
+  DataQuality quality = left.quality;
+  quality.Merge(right.quality);
+  EXPECT_EQ(quality.events_shed, whole.quality.events_shed);
+  EXPECT_EQ(quality.events_missing, whole.quality.events_missing);
+  EXPECT_EQ(quality.events_quarantined, whole.quality.events_quarantined);
+  // The extracted VMs' contributions left the source's partials.
+  EXPECT_EQ(source.FleetCdi().value().performance, left.fleet.performance);
+  EXPECT_EQ(dest.watermark(), source.watermark());
+}
+
+TEST_F(StreamEngineTest, ConcurrentCheckpointAndExtractRaceIngest) {
+  auto engine = MakeEngine();
+  constexpr int kWriters = 3;
+  constexpr int kVmsPerWriter = 12;
+  constexpr int kEventsPerVm = 8;
+  std::atomic<bool> extracted{false};
+  StreamCheckpoint frag;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int v = 0; v < kVmsPerWriter; ++v) {
+        const std::string id =
+            "vm-" + std::to_string(w) + "-" + std::to_string(v);
+        for (int e = 0; e < kEventsPerVm; ++e) {
+          // Half of each VM's events arrive before it registers.
+          if (e == kEventsPerVm / 2) {
+            ASSERT_TRUE(engine.RegisterVm(Vm(id)).ok());
+          }
+          ASSERT_TRUE(engine.Ingest(SlowIo(id, v * kEventsPerVm + e)).ok());
+          engine.RecordShed(id);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 20; ++i) {
+      (void)engine.Checkpoint();
+      ASSERT_TRUE(engine.Snapshot().ok());
+      if (i == 10) {
+        frag = engine.ExtractRange("vm-1", "vm-2");
+        extracted.store(true);
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(extracted.load());
+
+  // Every VM, event and shed landed exactly once: on the source, or in the
+  // fragment now installed on a second engine.
+  auto dest = MakeEngine();
+  ASSERT_TRUE(dest.InstallVms(frag).ok());
+  size_t vms = 0, events = 0;
+  uint64_t shed = 0;
+  for (const StreamCheckpoint& ckpt : {engine.Checkpoint(), dest.Checkpoint()}) {
+    vms += ckpt.vms.size();
+    events += ckpt.events.size() + ckpt.orphan_events.size();
+    for (const CheckpointTargetQuality& tq : ckpt.target_quality) {
+      shed += tq.shed;
+    }
+  }
+  EXPECT_EQ(vms, size_t{kWriters * kVmsPerWriter});
+  EXPECT_EQ(events, size_t{kWriters * kVmsPerWriter * kEventsPerVm});
+  EXPECT_EQ(shed, uint64_t{kWriters * kVmsPerWriter * kEventsPerVm});
 }
 
 TEST_F(StreamEngineTest, MonitorPreviewDoesNotCommit) {
