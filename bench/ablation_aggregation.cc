@@ -23,7 +23,7 @@ int main() {
   // into a 30-minute storm (one root cause, many symptoms).
   for (double spread : {1.0, 0.5, 0.2, 0.05, 0.02}) {
     Rng rng(7);
-    std::vector<WeightedEvent> events;
+    std::vector<WeightedEventView> events;
     const auto window_ms =
         static_cast<int64_t>(spread * static_cast<double>(day.length().millis()));
     for (int i = 0; i < 120; ++i) {
@@ -32,8 +32,11 @@ int main() {
       if (latest <= 0) continue;
       const TimePoint start =
           day_start + Duration::Millis(rng.UniformInt(0, latest));
-      events.push_back(WeightedEvent{.period = Interval(start, start + len),
-                                     .weight = rng.Uniform(0.2, 0.8)});
+      events.push_back(
+          WeightedEventView{.period = Interval(start, start + len),
+                            .weight = rng.Uniform(0.2, 0.8),
+                            .name_id = StringInterner::kInvalidId,
+                            .category = StabilityCategory::kPerformance});
     }
     const double q_max = ComputeCdi(events, day).value();
     const double q_sum = ComputeCdiSumOverlap(events, day).value();

@@ -14,18 +14,21 @@ namespace {
 
 const TimePoint kDayStart = TimePoint::FromMillis(1767225600000);  // 2026-01-01
 
-std::vector<WeightedEvent> MinuteAlignedEvents(size_t n, int64_t span_minutes,
-                                               uint64_t seed) {
+std::vector<WeightedEventView> MinuteAlignedEvents(size_t n,
+                                                   int64_t span_minutes,
+                                                   uint64_t seed) {
   Rng rng(seed);
-  std::vector<WeightedEvent> events;
+  std::vector<WeightedEventView> events;
   events.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const int64_t len = rng.UniformInt(1, 45);
     const int64_t start = rng.UniformInt(0, span_minutes - len - 1);
-    events.push_back(WeightedEvent{
+    events.push_back(WeightedEventView{
         .period = Interval(kDayStart + Duration::Minutes(start),
                            kDayStart + Duration::Minutes(start + len)),
-        .weight = rng.Uniform(0.1, 1.0)});
+        .weight = rng.Uniform(0.1, 1.0),
+        .name_id = StringInterner::kInvalidId,
+        .category = StabilityCategory::kPerformance});
   }
   return events;
 }

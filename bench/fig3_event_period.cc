@@ -3,6 +3,9 @@
 // ddos_blackhole with redundant add/del details deduplicated and paired.
 // Prints the resolved timeline plus the resolver's data-quality counters.
 #include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "event/period_resolver.h"
 
@@ -42,16 +45,22 @@ int main() {
     std::printf("  %s  %s\n", ev.time.ToString().c_str(), ev.name.c_str());
   }
 
+  // Resolve the way the pipeline does: rows in an EventRows, refs into
+  // PeriodResolver::ResolveRefs.
+  EventRows rows;
+  std::vector<EventRef> refs;
+  for (const RawEvent& ev : raw) refs.emplace_back(&rows, rows.Append(ev));
   ResolveStats stats;
-  auto resolved = resolver.Resolve(raw, std::nullopt, &stats);
+  auto resolved = resolver.ResolveRefs(refs, std::nullopt, &stats);
   if (!resolved.ok()) {
     std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
     return 1;
   }
 
   std::printf("\nResolved periods (Sec. IV-B):\n");
-  for (const ResolvedEvent& ev : *resolved) {
-    std::printf("  %-16s [%s .. %s)  duration %s\n", ev.name.c_str(),
+  for (const ResolvedEventView& ev : *resolved) {
+    const std::string name(GlobalInterner().NameOf(ev.name_id));
+    std::printf("  %-16s [%s .. %s)  duration %s\n", name.c_str(),
                 ev.period.start.ToString().c_str(),
                 ev.period.end.ToString().c_str(),
                 ev.period.length().ToString().c_str());
@@ -62,11 +71,12 @@ int main() {
               stats.dangling_end_dropped, stats.unpaired_start_closed);
 
   bool ok = resolved->size() == 2 && stats.duplicate_details_dropped == 2;
-  for (const ResolvedEvent& ev : *resolved) {
-    if (ev.name == "ddos_blackhole") {
+  for (const ResolvedEventView& ev : *resolved) {
+    const std::string_view name = GlobalInterner().NameOf(ev.name_id);
+    if (name == "ddos_blackhole") {
       ok = ok && ev.period == Interval(T("2024-01-01 10:00"),
                                        T("2024-01-01 11:00"));
-    } else if (ev.name == "slow_io") {
+    } else if (name == "slow_io") {
       ok = ok && ev.period.length() == Duration::Minutes(1);
     } else {
       ok = false;

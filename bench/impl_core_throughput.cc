@@ -22,16 +22,19 @@ namespace {
 const TimePoint kDayStart = TimePoint::FromMillis(1767225600000);  // 2026-01-01
 const Interval kDay(kDayStart, kDayStart + Duration::Days(1));
 
-std::vector<WeightedEvent> RandomEvents(size_t n, uint64_t seed) {
+std::vector<WeightedEventView> RandomEvents(size_t n, uint64_t seed) {
   Rng rng(seed);
-  std::vector<WeightedEvent> events;
+  std::vector<WeightedEventView> events;
   events.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const auto len = Duration::Minutes(rng.UniformInt(1, 30));
     const TimePoint start = kDayStart + Duration::Millis(rng.UniformInt(
                                 0, kDay.length().millis() - len.millis()));
-    events.push_back(WeightedEvent{.period = Interval(start, start + len),
-                                   .weight = rng.Uniform(0.1, 1.0)});
+    events.push_back(
+        WeightedEventView{.period = Interval(start, start + len),
+                          .weight = rng.Uniform(0.1, 1.0),
+                          .name_id = StringInterner::kInvalidId,
+                          .category = StabilityCategory::kPerformance});
   }
   return events;
 }
@@ -48,12 +51,14 @@ void BM_ComputeCdi(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeCdi)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
-// Period resolution of a day's raw stream for one VM.
+// Period resolution of a day's raw stream for one VM, over refs into the
+// SoA rows the event log stores.
 void BM_PeriodResolve(benchmark::State& state) {
   EventCatalog catalog = EventCatalog::BuiltIn();
   PeriodResolver resolver(&catalog);
   Rng rng(13);
-  std::vector<RawEvent> raw;
+  EventRows rows;
+  std::vector<EventRef> refs;
   const char* names[] = {"slow_io", "packet_loss", "vcpu_high"};
   for (int64_t i = 0; i < state.range(0); ++i) {
     RawEvent ev;
@@ -63,10 +68,10 @@ void BM_PeriodResolve(benchmark::State& state) {
     ev.target = "vm-1";
     ev.level = Severity::kCritical;
     ev.expire_interval = Duration::Hours(24);
-    raw.push_back(std::move(ev));
+    refs.emplace_back(&rows, rows.Append(ev));
   }
   for (auto _ : state) {
-    auto resolved = resolver.Resolve(raw, kDay);
+    auto resolved = resolver.ResolveRefs(refs, kDay);
     benchmark::DoNotOptimize(resolved);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -14,17 +14,18 @@ namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-WeightedEvent Ev(const char* name, const char* start, const char* end,
-                 double w) {
-  return WeightedEvent{.period = Interval(T(start), T(end)),
-                       .weight = w,
-                       .name = name};
+WeightedEventView Ev(const char* name, const char* start, const char* end,
+                     double w) {
+  return WeightedEventView{.period = Interval(T(start), T(end)),
+                           .weight = w,
+                           .name_id = GlobalInterner().Intern(name),
+                           .category = StabilityCategory::kPerformance};
 }
 
 struct Row {
   const char* vm;
   double service_minutes;
-  std::vector<WeightedEvent> events;
+  std::vector<WeightedEventView> events;
   Interval service;
   double paper_cdi;
 };
@@ -63,9 +64,9 @@ int main() {
     all.Add(Duration::Minutes(static_cast<int64_t>(row.service_minutes)),
             q.value());
     std::string names, ws;
-    for (const WeightedEvent& ev : row.events) {
+    for (const WeightedEventView& ev : row.events) {
       if (!names.empty()) names += ",";
-      names += ev.name;
+      names += GlobalInterner().NameOf(ev.name_id);
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%.1f", ev.weight);
       if (!ws.empty()) ws += ",";

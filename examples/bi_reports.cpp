@@ -134,7 +134,10 @@ int main() {
   for (const VmCdiRecord& rec : result->per_vm) {
     const EventSpan span = log.Query(EventQuery{
         .interval = day, .target_id = GlobalInterner().Lookup(rec.vm_id)});
-    auto resolved = resolver.Resolve(span.MaterializeAll(), day);
+    std::vector<EventRef> refs;
+    refs.reserve(span.UpperBound());
+    span.ForEach([&refs](const EventRef& ev) { refs.push_back(ev); });
+    auto resolved = resolver.ResolveRefs(refs, day);
     if (!resolved.ok()) return 1;
     auto cmp = CompareCdiAndCpi(*resolved, weights, filter, day);
     if (!cmp.ok()) return 1;

@@ -2,10 +2,12 @@
 //
 // The flow is the library's minimal happy path:
 //   1. describe events with the built-in catalog,
-//   2. resolve raw events into periods,
+//   2. store raw events as rows and resolve them into periods,
 //   3. build an event weight model (Eqs. 1-3),
-//   4. run Algorithm 1 per category (ComputeVmCdi).
+//   4. attach weights and run Algorithm 1 per category (ComputeVmCdi).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "cdibot.h"
 
@@ -27,19 +29,29 @@ int main() {
                            .time = day_start + Duration::Hours(9) +
                                    Duration::Minutes(m),
                            .target = "vm-42",
-                           .level = Severity::kCritical});
+                           .expire_interval = Duration::Hours(24),
+                           .level = Severity::kCritical,
+                           .attrs = {}});
   }
   raw.push_back(RawEvent{.name = "vm_reboot",
                          .time = day_start + Duration::Hours(14),
                          .target = "vm-42",
+                         .expire_interval = Duration::Hours(24),
                          .level = Severity::kCritical,
                          .attrs = {{"duration_ms", "90000"}}});
   raw.push_back(RawEvent{.name = "vm_resize_failed",
                          .time = day_start + Duration::Hours(18),
                          .target = "vm-42",
-                         .level = Severity::kCritical});
+                         .expire_interval = Duration::Hours(24),
+                         .level = Severity::kCritical,
+                         .attrs = {}});
 
-  auto resolved = resolver.Resolve(std::move(raw), day);
+  // The event log keeps events as columnar rows; the resolver reads refs
+  // into them.
+  EventRows rows;
+  std::vector<EventRef> refs;
+  for (const RawEvent& ev : raw) refs.emplace_back(&rows, rows.Append(ev));
+  auto resolved = resolver.ResolveRefs(refs, day);
   if (!resolved.ok()) {
     std::fprintf(stderr, "resolve failed: %s\n",
                  resolved.status().ToString().c_str());
@@ -60,7 +72,13 @@ int main() {
     return 1;
   }
 
-  auto cdi = ComputeVmCdi(*resolved, *weights, day);
+  auto weighted = AttachWeights(*resolved, *weights);
+  if (!weighted.ok()) {
+    std::fprintf(stderr, "weights failed: %s\n",
+                 weighted.status().ToString().c_str());
+    return 1;
+  }
+  auto cdi = ComputeVmCdi(*weighted, day);
   if (!cdi.ok()) {
     std::fprintf(stderr, "cdi failed: %s\n", cdi.status().ToString().c_str());
     return 1;
@@ -72,8 +90,12 @@ int main() {
   std::printf("  Performance Indicator    : %.6f\n", cdi->performance);
   std::printf("  Control-Plane Indicator  : %.6f\n", cdi->control_plane);
   std::printf("\nResolved events:\n");
-  for (const ResolvedEvent& ev : *resolved) {
-    std::printf("  %s\n", ev.ToString().c_str());
+  for (const ResolvedEventView& ev : *resolved) {
+    const std::string name(GlobalInterner().NameOf(ev.name_id));
+    std::printf("  %-18s %s  level=%s  %s\n", name.c_str(),
+                ev.period.ToString().c_str(),
+                std::string(SeverityToString(ev.level)).c_str(),
+                std::string(StabilityCategoryToString(ev.category)).c_str());
   }
   return 0;
 }

@@ -164,27 +164,32 @@ else
   # it to that. BM_DisabledInjector runs the full validation pipeline with
   # chaos and tracing off — i.e. every instrumented call site taking its
   # disabled branch — and must stay within noise of BM_CopyPlusManifest,
-  # the uninstrumented copy+bookkeeping baseline. Typical overhead is < 3%;
-  # the 1.15 ratio gate is a flake guard (CPU time, not wall time, so a
-  # noisy-neighbor core doesn't fail the build), catching only real
-  # regressions like a metric added to a per-event hot loop.
+  # the uninstrumented copy+bookkeeping baseline. Both loops allocate, so
+  # one sample of each swings by tens of percent between runs; the gate
+  # takes 9 interleaved repetitions of each and compares the per-benchmark
+  # medians of CPU time. The 1.15 bound catches only real regressions like
+  # a metric added to a per-event hot loop.
   echo "== obs: unit tests =="
   ./build/tests/obs_test
 
   echo "== obs: disabled-instrumentation overhead gate =="
   ./build/bench/chaos_overhead \
       --benchmark_filter='BM_CopyPlusManifest|BM_DisabledInjector' \
-      --benchmark_min_time=0.2 >/dev/null 2>&1
+      --benchmark_min_time=0.2 --benchmark_repetitions=9 \
+      --benchmark_enable_random_interleaving=true >/dev/null 2>&1
   RATIO="$(python3 - <<'EOF'
-import json
-runs = {b["name"]: b["cpu_ns_per_iter"]
-        for b in json.load(open("BENCH_chaos_overhead.json"))["benchmarks"]}
-base = next(v for k, v in runs.items() if k.startswith("BM_CopyPlusManifest"))
-instr = next(v for k, v in runs.items() if k.startswith("BM_DisabledInjector"))
-print(f"{instr / base:.3f}")
+import json, statistics
+runs = {}
+for b in json.load(open("BENCH_chaos_overhead.json"))["benchmarks"]:
+    runs.setdefault(b["name"], []).append(b["cpu_ns_per_iter"])
+def median(prefix):
+    samples = next(v for k, v in runs.items() if k.startswith(prefix))
+    assert len(samples) >= 9, f"{prefix}: {len(samples)} repetitions"
+    return statistics.median(samples)
+print(f"{median('BM_DisabledInjector') / median('BM_CopyPlusManifest'):.3f}")
 EOF
 )"
-  echo "   disabled-instrumentation / baseline cpu ratio: ${RATIO}"
+  echo "   disabled-instrumentation / baseline median cpu ratio: ${RATIO}"
   awk -v r="$RATIO" 'BEGIN { exit !(r <= 1.15) }' || {
     echo "FAIL: disabled observability overhead ratio ${RATIO} > 1.15"
     exit 1
@@ -240,8 +245,9 @@ cmake --build build-asan -j "$JOBS" \
            obs_test flow_test overload_test shard_test shard_socket_test \
            shard_socket_equivalence_test fleet_obs_test serve_test \
            serve_equivalence_test alloc_regression_test sim_test \
-           architecture_comparison incident_drilldown streaming_watchdog \
-           fig8_architecture_comparison
+           quickstart architecture_comparison incident_drilldown \
+           streaming_watchdog fig8_architecture_comparison fig3_event_period \
+           table4_worked_example
 
 echo "== asan+ubsan: thread pool + retry + Placement + CDI core + streaming engine =="
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -261,11 +267,16 @@ echo "== asan+ubsan: chaos + crash-safe storage + observability =="
 echo "== asan+ubsan: example and figure programs =="
 # Each loops over a drill-down result; a range-for over a member of a
 # StatusOr temporary is a stack-use-after-scope that only ASan reports.
-# streaming_watchdog round-trips a checkpoint file mid-day.
+# streaming_watchdog round-trips a checkpoint file mid-day. quickstart,
+# fig3 (Example 2) and table4 (Table IV) run the per-VM CDI path on the
+# paper's worked examples.
+./build-asan/examples/quickstart >/dev/null
 ./build-asan/examples/architecture_comparison >/dev/null
 ./build-asan/examples/incident_drilldown >/dev/null
 ./build-asan/examples/streaming_watchdog >/dev/null
 ./build-asan/bench/fig8_architecture_comparison >/dev/null
+./build-asan/bench/fig3_event_period >/dev/null
+./build-asan/bench/table4_worked_example >/dev/null
 
 echo "== asan+ubsan: flow control + surge preset (in-test RSS ceiling) =="
 ./build-asan/tests/flow_test

@@ -7,17 +7,16 @@ namespace {
 
 constexpr double kMillisPerYear = 365.0 * 86400.0 * 1000.0;
 
-// ResolvedEvent and ResolvedEventView both expose `.category` and
-// `.period`, which is all the classic metrics need; one shared template
-// keeps the owning and zero-copy overloads bit-identical.
-template <typename Event>
-StatusOr<UnavailabilityStats> ComputeUnavailabilityStatsImpl(
-    const std::vector<Event>& events, const Interval& service_period) {
+}  // namespace
+
+StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
+    const std::vector<ResolvedEventView>& events,
+    const Interval& service_period) {
   if (service_period.empty()) {
     return Status::InvalidArgument("service period must be non-empty");
   }
   std::vector<Interval> episodes;
-  for (const Event& ev : events) {
+  for (const ResolvedEventView& ev : events) {
     if (ev.category != StabilityCategory::kUnavailability) continue;
     const Interval clamped = ev.period.ClampTo(service_period);
     if (!clamped.empty()) episodes.push_back(clamped);
@@ -57,19 +56,6 @@ StatusOr<UnavailabilityStats> ComputeUnavailabilityStatsImpl(
                    : Duration::Millis(down.millis() /
                                       static_cast<int64_t>(merged.size()));
   return stats;
-}
-
-}  // namespace
-
-StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
-    const std::vector<ResolvedEvent>& events, const Interval& service_period) {
-  return ComputeUnavailabilityStatsImpl(events, service_period);
-}
-
-StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
-    const std::vector<ResolvedEventView>& events,
-    const Interval& service_period) {
-  return ComputeUnavailabilityStatsImpl(events, service_period);
 }
 
 void UnavailabilityPartial::AddVm(const UnavailabilityStats& vm,

@@ -36,12 +36,6 @@ struct UnavailabilityStats {
 /// derives the classic metrics over `service_period`. Non-unavailability
 /// events are ignored — by construction, mirroring industry practice.
 StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
-    const std::vector<ResolvedEvent>& events, const Interval& service_period);
-
-/// Zero-copy overload over resolved-event views. Shares one implementation
-/// with the owning overload, so identical (category, period) sequences
-/// yield bit-identical stats.
-StatusOr<UnavailabilityStats> ComputeUnavailabilityStats(
     const std::vector<ResolvedEventView>& events,
     const Interval& service_period);
 

@@ -18,29 +18,42 @@ CustomerEventFilter CustomerEventFilter::BuiltIn() {
   });
 }
 
-std::vector<ResolvedEvent> CustomerEventFilter::Filter(
-    const std::vector<ResolvedEvent>& events) const {
-  std::vector<ResolvedEvent> out;
+std::vector<ResolvedEventView> CustomerEventFilter::Filter(
+    const std::vector<ResolvedEventView>& events) const {
+  std::vector<ResolvedEventView> out;
   out.reserve(events.size());
-  for (const ResolvedEvent& ev : events) {
-    if (IsDisclosed(ev.name)) out.push_back(ev);
+  for (const ResolvedEventView& ev : events) {
+    if (IsDisclosed(GlobalInterner().NameOf(ev.name_id))) out.push_back(ev);
   }
   return out;
 }
 
-StatusOr<VmCdi> ComputeCustomerCdi(const std::vector<ResolvedEvent>& events,
-                                   const EventWeightModel& weights,
-                                   const CustomerEventFilter& filter,
-                                   const Interval& service_period) {
-  return ComputeVmCdi(filter.Filter(events), weights, service_period);
+namespace {
+
+StatusOr<VmCdi> WeightAndCompute(const std::vector<ResolvedEventView>& events,
+                                 const EventWeightModel& weights,
+                                 const Interval& service_period) {
+  CDIBOT_ASSIGN_OR_RETURN(const std::vector<WeightedEventView> weighted,
+                          AttachWeights(events, weights));
+  return ComputeVmCdi(weighted, service_period);
+}
+
+}  // namespace
+
+StatusOr<VmCdi> ComputeCustomerCdi(
+    const std::vector<ResolvedEventView>& events,
+    const EventWeightModel& weights, const CustomerEventFilter& filter,
+    const Interval& service_period) {
+  return WeightAndCompute(filter.Filter(events), weights, service_period);
 }
 
 StatusOr<CdiCpiComparison> CompareCdiAndCpi(
-    const std::vector<ResolvedEvent>& events, const EventWeightModel& weights,
-    const CustomerEventFilter& filter, const Interval& service_period) {
+    const std::vector<ResolvedEventView>& events,
+    const EventWeightModel& weights, const CustomerEventFilter& filter,
+    const Interval& service_period) {
   CdiCpiComparison result;
   CDIBOT_ASSIGN_OR_RETURN(result.internal,
-                          ComputeVmCdi(events, weights, service_period));
+                          WeightAndCompute(events, weights, service_period));
   CDIBOT_ASSIGN_OR_RETURN(
       result.customer,
       ComputeCustomerCdi(events, weights, filter, service_period));

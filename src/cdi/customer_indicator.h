@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdi/vm_cdi.h"
@@ -19,7 +20,8 @@ namespace cdibot {
 class CustomerEventFilter {
  public:
   /// Builds a filter over an explicit disclosed-event allowlist.
-  explicit CustomerEventFilter(std::set<std::string> disclosed_events)
+  explicit CustomerEventFilter(
+      std::set<std::string, std::less<>> disclosed_events)
       : disclosed_(std::move(disclosed_events)) {}
 
   /// The default disclosure set modeled on instance health diagnosis:
@@ -28,18 +30,20 @@ class CustomerEventFilter {
   /// events.
   static CustomerEventFilter BuiltIn();
 
-  bool IsDisclosed(const std::string& event_name) const {
+  bool IsDisclosed(std::string_view event_name) const {
     return disclosed_.count(event_name) > 0;
   }
 
   /// The disclosed subset of `events`.
-  std::vector<ResolvedEvent> Filter(
-      const std::vector<ResolvedEvent>& events) const;
+  std::vector<ResolvedEventView> Filter(
+      const std::vector<ResolvedEventView>& events) const;
 
-  const std::set<std::string>& disclosed_events() const { return disclosed_; }
+  const std::set<std::string, std::less<>>& disclosed_events() const {
+    return disclosed_;
+  }
 
  private:
-  std::set<std::string> disclosed_;
+  std::set<std::string, std::less<>> disclosed_;
 };
 
 /// Internal CDI and customer-perspective CPI for the same VM and period,
@@ -62,14 +66,15 @@ struct CdiCpiComparison {
 };
 
 /// Computes the CPI: ComputeVmCdi restricted to disclosed events.
-StatusOr<VmCdi> ComputeCustomerCdi(const std::vector<ResolvedEvent>& events,
-                                   const EventWeightModel& weights,
-                                   const CustomerEventFilter& filter,
-                                   const Interval& service_period);
+StatusOr<VmCdi> ComputeCustomerCdi(
+    const std::vector<ResolvedEventView>& events,
+    const EventWeightModel& weights, const CustomerEventFilter& filter,
+    const Interval& service_period);
 
 /// Computes both perspectives at once.
 StatusOr<CdiCpiComparison> CompareCdiAndCpi(
-    const std::vector<ResolvedEvent>& events, const EventWeightModel& weights,
+    const std::vector<ResolvedEventView>& events,
+    const EventWeightModel& weights,
     const CustomerEventFilter& filter, const Interval& service_period);
 
 }  // namespace cdibot

@@ -57,10 +57,10 @@ struct DataQuality {
 /// deployment architecture, ...).
 struct VmCdiRecord {
   std::string vm_id;
-  Placement dims;
+  Placement dims{};
   VmCdi cdi;
   /// Integrity of the input this row was computed from.
-  DataQuality quality;
+  DataQuality quality{};
 };
 
 /// Per-(VM, event-name) output row (second table of Sec. V): the damage an
@@ -75,7 +75,7 @@ struct EventCdiRecord {
   /// The VM's service time (denominator for event-level CDI).
   Duration service_time;
   /// The VM's placement, shared with its per-VM row.
-  Placement dims;
+  Placement dims{};
 };
 
 /// A drill-down request. It follows the `DailyCdiJob::Options` + `StatusOr`
@@ -90,7 +90,7 @@ struct DrilldownQuery {
   std::vector<std::string> dimensions;
   /// Exact-match pre-filter on record dims: a record participates only if
   /// every (dim, value) pair here matches. Empty = all records.
-  std::map<std::string, std::string> filter;
+  std::map<std::string, std::string> filter{};
 };
 
 /// One group of a `RunDrilldown` answer.

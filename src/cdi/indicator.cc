@@ -8,17 +8,12 @@
 namespace cdibot {
 namespace {
 
-// WeightedEvent and WeightedEventView both expose `.period` and `.weight`;
-// templating keeps the owning and zero-copy entry points on one
-// implementation, so identical (period, weight) sequences produce
-// bit-identical results regardless of which container carried them.
-template <typename Event>
-Status ValidateInputs(const std::vector<Event>& events,
+Status ValidateInputs(const std::vector<WeightedEventView>& events,
                       const Interval& service_period) {
   if (service_period.empty()) {
     return Status::InvalidArgument("service period must be non-empty");
   }
-  for (const Event& ev : events) {
+  for (const WeightedEventView& ev : events) {
     if (ev.weight < 0.0 || !std::isfinite(ev.weight)) {
       return Status::InvalidArgument("event weight must be finite and >= 0");
     }
@@ -28,9 +23,9 @@ Status ValidateInputs(const std::vector<Event>& events,
 
 // Computes integral over the service period of the per-instant maximum
 // weight, in milliseconds-weight units.
-template <typename Event>
-StatusOr<double> MaxOverlapIntegralMillis(const std::vector<Event>& events,
-                                          const Interval& service_period) {
+StatusOr<double> MaxOverlapIntegralMillis(
+    const std::vector<WeightedEventView>& events,
+    const Interval& service_period) {
   CDIBOT_RETURN_IF_ERROR(ValidateInputs(events, service_period));
 
   // Clamp and drop empty.
@@ -41,7 +36,7 @@ StatusOr<double> MaxOverlapIntegralMillis(const std::vector<Event>& events,
   };
   std::vector<Seg> segs;
   segs.reserve(events.size());
-  for (const Event& ev : events) {
+  for (const WeightedEventView& ev : events) {
     const Interval clamped = ev.period.ClampTo(service_period);
     if (clamped.empty() || ev.weight == 0.0) continue;
     segs.push_back(
@@ -85,27 +80,12 @@ StatusOr<double> MaxOverlapIntegralMillis(const std::vector<Event>& events,
 
 }  // namespace
 
-StatusOr<double> ComputeCdi(const std::vector<WeightedEvent>& events,
-                            const Interval& service_period) {
-  CDIBOT_ASSIGN_OR_RETURN(const double integral,
-                          MaxOverlapIntegralMillis(events, service_period));
-  return integral /
-         static_cast<double>(service_period.length().millis());
-}
-
 StatusOr<double> ComputeCdi(const std::vector<WeightedEventView>& events,
                             const Interval& service_period) {
   CDIBOT_ASSIGN_OR_RETURN(const double integral,
                           MaxOverlapIntegralMillis(events, service_period));
   return integral /
          static_cast<double>(service_period.length().millis());
-}
-
-StatusOr<double> ComputeDamageMinutes(
-    const std::vector<WeightedEvent>& events, const Interval& service_period) {
-  CDIBOT_ASSIGN_OR_RETURN(const double integral,
-                          MaxOverlapIntegralMillis(events, service_period));
-  return integral / 60000.0;
 }
 
 StatusOr<double> ComputeDamageMinutes(
@@ -116,8 +96,9 @@ StatusOr<double> ComputeDamageMinutes(
   return integral / 60000.0;
 }
 
-StatusOr<double> ComputeCdiNaive(const std::vector<WeightedEvent>& events,
-                                 const Interval& service_period) {
+StatusOr<double> ComputeCdiNaive(
+    const std::vector<WeightedEventView>& events,
+    const Interval& service_period) {
   CDIBOT_RETURN_IF_ERROR(ValidateInputs(events, service_period));
   constexpr int64_t kSlotMs = 60000;  // one-minute slots, as in the paper
   const int64_t t0 = service_period.start.millis();
@@ -130,7 +111,7 @@ StatusOr<double> ComputeCdiNaive(const std::vector<WeightedEvent>& events,
   // Line 1: W[T_s..T_e] <- 0.
   std::vector<double> w(slots, 0.0);
   // Lines 2-5: per-event max-paint.
-  for (const WeightedEvent& ev : events) {
+  for (const WeightedEventView& ev : events) {
     const Interval clamped = ev.period.ClampTo(service_period);
     if (clamped.empty()) continue;
     const auto first =
@@ -153,7 +134,8 @@ StatusOr<double> ComputeCdiNaive(const std::vector<WeightedEvent>& events,
 }
 
 StatusOr<double> ComputeCdiSumOverlap(
-    const std::vector<WeightedEvent>& events, const Interval& service_period) {
+    const std::vector<WeightedEventView>& events,
+    const Interval& service_period) {
   CDIBOT_RETURN_IF_ERROR(ValidateInputs(events, service_period));
   // Boundary sweep summing active weights, capped at 1.
   struct Edge {
@@ -162,7 +144,7 @@ StatusOr<double> ComputeCdiSumOverlap(
   };
   std::vector<Edge> edges;
   edges.reserve(events.size() * 2);
-  for (const WeightedEvent& ev : events) {
+  for (const WeightedEventView& ev : events) {
     const Interval clamped = ev.period.ClampTo(service_period);
     if (clamped.empty() || ev.weight == 0.0) continue;
     edges.push_back({clamped.start.millis(), ev.weight});

@@ -23,12 +23,6 @@ namespace cdibot {
 ///
 /// Events are clamped into `service_period`; events entirely outside it are
 /// ignored. Requires a non-empty service period and weights >= 0.
-StatusOr<double> ComputeCdi(const std::vector<WeightedEvent>& events,
-                            const Interval& service_period);
-
-/// Zero-copy overload: same sweep over WeightedEventViews. Both overloads
-/// instantiate one shared implementation, so identical (period, weight)
-/// sequences yield bit-identical results.
 StatusOr<double> ComputeCdi(const std::vector<WeightedEventView>& events,
                             const Interval& service_period);
 
@@ -39,21 +33,19 @@ StatusOr<double> ComputeCdi(const std::vector<WeightedEventView>& events,
 /// ComputeCdi by at most one slot per event boundary; with minute-aligned
 /// events (the common case — detection windows are whole minutes) the two
 /// agree exactly.
-StatusOr<double> ComputeCdiNaive(const std::vector<WeightedEvent>& events,
-                                 const Interval& service_period);
+StatusOr<double> ComputeCdiNaive(
+    const std::vector<WeightedEventView>& events,
+    const Interval& service_period);
 
 /// A variant for the aggregation-semantics ablation: overlapping events sum
 /// (capped at 1.0) instead of taking the max. Not used by the CDI proper.
-StatusOr<double> ComputeCdiSumOverlap(const std::vector<WeightedEvent>& events,
-                                      const Interval& service_period);
+StatusOr<double> ComputeCdiSumOverlap(
+    const std::vector<WeightedEventView>& events,
+    const Interval& service_period);
 
 /// The damage integral (numerator of the CDI): sum over time of the maximum
 /// active weight, expressed as a Duration-weighted value in minutes. Exposed
 /// for event-level drill-down tables, which store per-event damage.
-StatusOr<double> ComputeDamageMinutes(const std::vector<WeightedEvent>& events,
-                                      const Interval& service_period);
-
-/// Zero-copy overload (see ComputeCdi note on bit-identity).
 StatusOr<double> ComputeDamageMinutes(
     const std::vector<WeightedEventView>& events,
     const Interval& service_period);

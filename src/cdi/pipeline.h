@@ -26,7 +26,7 @@ namespace cdibot {
 struct VmServiceInfo {
   std::string vm_id;
   /// Built once per VM; every row derived from it shares this map.
-  Placement dims;
+  Placement dims{};
   Interval service_period;
 };
 

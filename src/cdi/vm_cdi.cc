@@ -4,21 +4,6 @@
 
 namespace cdibot {
 
-StatusOr<std::vector<WeightedEvent>> AttachWeights(
-    const std::vector<ResolvedEvent>& events, const EventWeightModel& model) {
-  std::vector<WeightedEvent> out;
-  out.reserve(events.size());
-  for (const ResolvedEvent& ev : events) {
-    CDIBOT_ASSIGN_OR_RETURN(const double w, model.WeightFor(ev));
-    out.push_back(WeightedEvent{.period = ev.period,
-                                .weight = w,
-                                .name = ev.name,
-                                .target = ev.target,
-                                .category = ev.category});
-  }
-  return out;
-}
-
 StatusOr<std::vector<WeightedEventView>> AttachWeights(
     const std::vector<ResolvedEventView>& events,
     const EventWeightModel& model) {
@@ -34,18 +19,13 @@ StatusOr<std::vector<WeightedEventView>> AttachWeights(
   return out;
 }
 
-namespace {
-
-// The category split + per-category Algorithm 1, shared by the owning and
-// zero-copy overloads (both event types expose `.category`).
-template <typename Event>
-StatusOr<VmCdi> ComputeVmCdiImpl(const std::vector<Event>& events,
-                                 const Interval& service_period) {
+StatusOr<VmCdi> ComputeVmCdi(const std::vector<WeightedEventView>& events,
+                             const Interval& service_period) {
   if (service_period.empty()) {
     return Status::InvalidArgument("service period must be non-empty");
   }
-  std::vector<Event> by_cat[kNumStabilityCategories];
-  for (const Event& ev : events) {
+  std::vector<WeightedEventView> by_cat[kNumStabilityCategories];
+  for (const WeightedEventView& ev : events) {
     by_cat[static_cast<int>(ev.category)].push_back(ev);
   }
   VmCdi result;
@@ -63,26 +43,6 @@ StatusOr<VmCdi> ComputeVmCdiImpl(const std::vector<Event>& events,
       ComputeCdi(by_cat[static_cast<int>(StabilityCategory::kControlPlane)],
                  service_period));
   return result;
-}
-
-}  // namespace
-
-StatusOr<VmCdi> ComputeVmCdi(const std::vector<WeightedEvent>& events,
-                             const Interval& service_period) {
-  return ComputeVmCdiImpl(events, service_period);
-}
-
-StatusOr<VmCdi> ComputeVmCdi(const std::vector<WeightedEventView>& events,
-                             const Interval& service_period) {
-  return ComputeVmCdiImpl(events, service_period);
-}
-
-StatusOr<VmCdi> ComputeVmCdi(const std::vector<ResolvedEvent>& events,
-                             const EventWeightModel& model,
-                             const Interval& service_period) {
-  CDIBOT_ASSIGN_OR_RETURN(const std::vector<WeightedEvent> weighted,
-                          AttachWeights(events, model));
-  return ComputeVmCdi(weighted, service_period);
 }
 
 }  // namespace cdibot

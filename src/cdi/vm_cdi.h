@@ -22,7 +22,7 @@ struct VmCdi {
   /// CDI-C: ratio of weighted uncontrollability duration to service time.
   double control_plane = 0.0;
   /// T_i in Eq. 4: the VM's service time within the evaluation window.
-  Duration service_time;
+  Duration service_time{};
 
   /// Sub-metric accessor by category.
   double ForCategory(StabilityCategory c) const {
@@ -38,14 +38,8 @@ struct VmCdi {
   }
 };
 
-/// Applies the weight model to resolved events, producing Algorithm-1 inputs.
-/// Events whose weight lookup fails propagate the error.
-StatusOr<std::vector<WeightedEvent>> AttachWeights(
-    const std::vector<ResolvedEvent>& events, const EventWeightModel& model);
-
-/// Zero-copy twin: attaches weights to resolved-event views without
-/// copying any strings. The weight arithmetic is shared with the owning
-/// path, so identical event sequences get bit-identical weights.
+/// Applies the weight model to resolved events, producing Algorithm-1
+/// inputs. Events whose weight lookup fails propagate the error.
 StatusOr<std::vector<WeightedEventView>> AttachWeights(
     const std::vector<ResolvedEventView>& events,
     const EventWeightModel& model);
@@ -54,16 +48,7 @@ StatusOr<std::vector<WeightedEventView>> AttachWeights(
 /// runs Algorithm 1 per category over `service_period` (Sec. IV-A: "the
 /// calculation process for each is identical, and the only difference lies in
 /// the specific events they rely on").
-StatusOr<VmCdi> ComputeVmCdi(const std::vector<WeightedEvent>& events,
-                             const Interval& service_period);
-
-/// Zero-copy overload over weighted views (same per-category Algorithm 1).
 StatusOr<VmCdi> ComputeVmCdi(const std::vector<WeightedEventView>& events,
-                             const Interval& service_period);
-
-/// Convenience: resolve weights then compute.
-StatusOr<VmCdi> ComputeVmCdi(const std::vector<ResolvedEvent>& events,
-                             const EventWeightModel& model,
                              const Interval& service_period);
 
 }  // namespace cdibot

@@ -67,11 +67,4 @@ std::string RawEvent::ToString() const {
                    std::string(SeverityToString(level)).c_str());
 }
 
-std::string ResolvedEvent::ToString() const {
-  return StrFormat("ResolvedEvent{%s on %s, %s, level=%s, cat=%s}",
-                   name.c_str(), target.c_str(), period.ToString().c_str(),
-                   std::string(SeverityToString(level)).c_str(),
-                   std::string(StabilityCategoryToString(category)).c_str());
-}
-
 }  // namespace cdibot

@@ -40,8 +40,8 @@ StatusOr<Severity> SeverityFromString(std::string_view s);
 
 /// A raw CloudBot event as produced by the Event Extractor — the fields of
 /// Table II. A raw event is an observation at a single extraction timestamp;
-/// the PeriodResolver later turns streams of raw events into ResolvedEvents
-/// with a start/end period (Sec. IV-B).
+/// the PeriodResolver later turns streams of raw events into
+/// ResolvedEventViews with a start/end period (Sec. IV-B).
 struct RawEvent {
   /// Interpretable event name, e.g. "slow_io". Keys into the EventCatalog.
   std::string name;
@@ -66,30 +66,6 @@ struct RawEvent {
   std::string ToString() const;
 
   bool operator==(const RawEvent&) const = default;
-};
-
-/// An event after period resolution: the (t_s, t_e, w)-ready representation
-/// of Sec. IV-A, minus the weight (attached by the weights module). This is
-/// the unit Algorithm 1 consumes.
-struct ResolvedEvent {
-  std::string name;
-  std::string target;
-  Interval period;
-  Severity level = Severity::kWarning;
-  StabilityCategory category = StabilityCategory::kPerformance;
-
-  std::string ToString() const;
-};
-
-/// A ResolvedEvent with its composite weight (Eq. 3) attached; the exact
-/// e = (t_s, t_e, w) triple of Sec. IV-A.
-struct WeightedEvent {
-  Interval period;
-  double weight = 0.0;
-  /// Carried through for event-level drill-down (Sec. VI-C).
-  std::string name;
-  std::string target;
-  StabilityCategory category = StabilityCategory::kPerformance;
 };
 
 }  // namespace cdibot

@@ -31,8 +31,8 @@ uint32_t EventRows::Append(const RawEvent& event) {
   const auto row = static_cast<uint32_t>(time_ms_.size());
   time_ms_.push_back(event.time.millis());
   expire_ms_.push_back(event.expire_interval.millis());
-  name_id_.push_back(interner_->Intern(event.name));
-  target_id_.push_back(interner_->Intern(event.target));
+  name_id_.push_back(GlobalInterner().Intern(event.name));
+  target_id_.push_back(GlobalInterner().Intern(event.target));
   level_.push_back(static_cast<int32_t>(event.level));
 
   int64_t dur = -1;

@@ -31,14 +31,11 @@ class EventRef;
 /// verbatim in a side table keyed by row, so Materialize() reproduces the
 /// appended RawEvent bit-for-bit and malformed-duration semantics
 /// (quarantine reason kBadDurationAttr) survive the columnar encoding.
+///
+/// Names and targets always intern into GlobalInterner(), so ids compare
+/// across containers and against the catalog's and weight model's ids.
 class EventRows {
  public:
-  /// `interner` must outlive the container. Defaults to the process-wide
-  /// interner, which every data-plane structure shares so ids compare
-  /// across containers.
-  explicit EventRows(StringInterner* interner = &GlobalInterner())
-      : interner_(interner) {}
-
   /// Appends one event; interns its name and target. Returns the row index.
   uint32_t Append(const RawEvent& event);
 
@@ -73,17 +70,15 @@ class EventRows {
   const std::map<std::string, std::string>& extra_attrs(uint32_t row) const;
 
   std::string_view name(uint32_t row) const {
-    return interner_->NameOf(name_id_[row]);
+    return GlobalInterner().NameOf(name_id_[row]);
   }
   std::string_view target(uint32_t row) const {
-    return interner_->NameOf(target_id_[row]);
+    return GlobalInterner().NameOf(target_id_[row]);
   }
 
   /// Reconstructs the RawEvent exactly as appended (cold path: export,
   /// checkpointing, quarantine samples).
   RawEvent Materialize(uint32_t row) const;
-
-  const StringInterner* interner() const { return interner_; }
 
  private:
   std::vector<int64_t> time_ms_;
@@ -95,7 +90,6 @@ class EventRows {
   /// Rows whose attrs are not canonically encodable, verbatim.
   std::unordered_map<uint32_t, std::map<std::string, std::string>>
       extra_attrs_;
-  StringInterner* interner_;
 };
 
 /// Non-owning reference to one row of an EventRows — the zero-copy stand-in
@@ -212,14 +206,6 @@ class EventSpan {
     }
   }
 
-  /// Materializes every ref passing the filter (compat/cold paths only).
-  std::vector<RawEvent> MaterializeAll() const {
-    std::vector<RawEvent> out;
-    out.reserve(UpperBound());
-    ForEach([&out](const EventRef& ev) { out.push_back(ev.Materialize()); });
-    return out;
-  }
-
   bool has_filter() const { return has_filter_; }
   const Interval& filter() const { return filter_; }
 
@@ -235,8 +221,10 @@ class EventSpan {
   bool has_filter_ = false;
 };
 
-/// The view counterpart of ResolvedEvent: interned ids instead of owned
-/// strings. Produced by PeriodResolver::ResolveSpan on the hot path.
+/// An event after period resolution: the (t_s, t_e, w)-ready
+/// representation of Sec. IV-A, minus the weight (attached by
+/// AttachWeights). Names and targets are GlobalInterner ids. Produced by
+/// PeriodResolver::ResolveRefs.
 struct ResolvedEventView {
   uint32_t name_id = StringInterner::kInvalidId;
   uint32_t target_id = StringInterner::kInvalidId;
@@ -245,8 +233,9 @@ struct ResolvedEventView {
   StabilityCategory category = StabilityCategory::kPerformance;
 };
 
-/// The view counterpart of WeightedEvent — the (t_s, t_e, w) triple of
-/// Sec. IV-A with the drill-down name carried as an interned id.
+/// A resolved event with its composite weight (Eq. 3) attached: the
+/// e = (t_s, t_e, w) triple of Sec. IV-A that Algorithm 1 consumes, with
+/// the drill-down name (Sec. VI-C) carried as an interned id.
 struct WeightedEventView {
   Interval period;
   double weight = 0.0;

@@ -19,11 +19,11 @@ namespace cdibot {
 struct EventOverride {
   std::string event_name;
   /// New default severity, when set.
-  std::optional<Severity> level;
+  std::optional<Severity> level{};
   /// New detection window (windowed events only), when set.
-  std::optional<Duration> window;
+  std::optional<Duration> window{};
   /// New expiration interval, when set.
-  std::optional<Duration> expire_interval;
+  std::optional<Duration> expire_interval{};
 };
 
 /// Returns a copy of `base` with the overrides applied. Fails with NotFound

@@ -11,10 +11,8 @@
 namespace cdibot {
 namespace {
 
-/// One sortable unit of resolution work. Both entry points (owning
-/// RawEvents, non-owning EventRefs) lower their input to Items, so the
-/// core below is the single definition of sort order, stateful pairing,
-/// and emission order — the properties the equivalence suites pin.
+/// One sortable unit of resolution work: an EventRef lowered to its sort
+/// key plus the spec it resolves against.
 struct Item {
   std::string_view target;
   std::string_view parent;  // parent spec name (== name for stateless)
@@ -45,17 +43,13 @@ bool ItemLess(const Item& a, const Item& b) {
 }
 
 /// The resolution core (Sec. IV-B): sorts `items`, derives each event's
-/// [start, end) period per its spec's PeriodKind, and calls
-/// `emit(item, period, level)` for every kept period. Stateful pairing
-/// state is local to one contiguous (target, parent) group of the sorted
-/// order. Unpaired starts are closed after the main loop in
-/// (parent, target) order — the iteration order of the keyed map the
-/// pre-view resolver held them in, preserved so the refactor cannot
-/// reorder output.
-template <typename Emit>
+/// [start, end) period per its spec's PeriodKind, and appends every kept
+/// period to `out`. Stateful pairing state is local to one contiguous
+/// (target, parent) group of the sorted order. Unpaired starts are closed
+/// after the main loop in (parent, target) order.
 void ResolveSorted(std::vector<Item>& items,
                    const std::optional<Interval>& bounds, ResolveStats* s,
-                   const Emit& emit) {
+                   std::vector<ResolvedEventView>* out) {
   std::sort(items.begin(), items.end(), ItemLess);
 
   // Clamps into optional bounds and drops empties before emitting.
@@ -65,7 +59,11 @@ void ResolveSorted(std::vector<Item>& items,
     if (bounds.has_value()) period = period.ClampTo(*bounds);
     if (period.empty()) return;
     ++s->resolved;
-    emit(item, period, level);
+    out->push_back(ResolvedEventView{.name_id = item.parent_name_id,
+                                     .target_id = item.target_id,
+                                     .period = period,
+                                     .level = level,
+                                     .category = item.spec->category});
   };
 
   struct Closure {
@@ -181,53 +179,6 @@ void RollUpStats(const ResolveStats& s) {
 PeriodResolver::PeriodResolver(const EventCatalog* catalog)
     : catalog_(catalog) {}
 
-StatusOr<std::vector<ResolvedEvent>> PeriodResolver::Resolve(
-    std::vector<RawEvent> raw, std::optional<Interval> bounds,
-    ResolveStats* stats) const {
-  TRACE_SPAN("resolve.resolve");
-  ResolveStats local_stats;
-  ResolveStats* s = stats != nullptr ? stats : &local_stats;
-  *s = ResolveStats{};
-
-  std::vector<Item> items;
-  items.reserve(raw.size());
-  for (const RawEvent& ev : raw) {
-    auto handle = catalog_->FindHandle(ev.name);
-    if (!handle.has_value()) {
-      ++s->unknown_dropped;
-      continue;
-    }
-    Item item;
-    item.target = ev.target;
-    item.parent = handle->spec->name;
-    item.name = ev.name;
-    item.time_ms = ev.time.millis();
-    item.level = ev.level;
-    item.spec = handle->spec;
-    item.parent_name_id = handle->name_id;
-    auto logged = ev.LoggedDuration();
-    item.logged_ms = logged.ok() ? logged->millis() : -1;
-    item.is_start = handle->spec->period_kind == PeriodKind::kStateful &&
-                    ev.name == handle->spec->start_detail;
-    items.push_back(item);
-  }
-
-  std::vector<ResolvedEvent> out;
-  out.reserve(items.size());
-  ResolveSorted(items, bounds, s,
-                [&out](const Item& item, const Interval& period,
-                       Severity level) {
-                  out.push_back(ResolvedEvent{
-                      .name = item.spec->name,
-                      .target = std::string(item.target),
-                      .period = period,
-                      .level = level,
-                      .category = item.spec->category});
-                });
-  RollUpStats(*s);
-  return out;
-}
-
 StatusOr<std::vector<ResolvedEventView>> PeriodResolver::ResolveRefs(
     const std::vector<EventRef>& events, std::optional<Interval> bounds,
     ResolveStats* stats) const {
@@ -239,14 +190,10 @@ StatusOr<std::vector<ResolvedEventView>> PeriodResolver::ResolveRefs(
   std::vector<Item> items;
   items.reserve(events.size());
   for (const EventRef& ev : events) {
-    // Catalog handles carry GlobalInterner ids; the id fast path is only
-    // sound when the ref's rows intern there too (they always do in the
-    // pipeline — tests may build standalone EventRows on a private
-    // interner, which falls back to name lookup).
-    const bool global_ids = ev.rows()->interner() == &GlobalInterner();
-    std::optional<EventCatalog::SpecHandle> handle =
-        global_ids ? catalog_->FindHandleById(ev.name_id()) : std::nullopt;
-    if (!handle.has_value()) handle = catalog_->FindHandle(ev.name());
+    // EventRows and the catalog both intern into GlobalInterner, so the
+    // raw name id keys the catalog directly.
+    const std::optional<EventCatalog::SpecHandle> handle =
+        catalog_->FindHandleById(ev.name_id());
     if (!handle.has_value()) {
       ++s->unknown_dropped;
       continue;
@@ -261,25 +208,14 @@ StatusOr<std::vector<ResolvedEventView>> PeriodResolver::ResolveRefs(
     item.parent_name_id = handle->name_id;
     item.target_id = ev.target_id();
     item.logged_ms = ev.LoggedDurationMsOrNeg();
-    item.is_start =
-        handle->spec->period_kind == PeriodKind::kStateful &&
-        (global_ids ? ev.name_id() == handle->start_detail_id
-                    : ev.name() == handle->spec->start_detail);
+    item.is_start = handle->spec->period_kind == PeriodKind::kStateful &&
+                    ev.name_id() == handle->start_detail_id;
     items.push_back(item);
   }
 
   std::vector<ResolvedEventView> out;
   out.reserve(items.size());
-  ResolveSorted(items, bounds, s,
-                [&out](const Item& item, const Interval& period,
-                       Severity level) {
-                  out.push_back(ResolvedEventView{
-                      .name_id = item.parent_name_id,
-                      .target_id = item.target_id,
-                      .period = period,
-                      .level = level,
-                      .category = item.spec->category});
-                });
+  ResolveSorted(items, bounds, s, &out);
   RollUpStats(*s);
   return out;
 }

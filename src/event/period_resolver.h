@@ -12,7 +12,7 @@
 
 namespace cdibot {
 
-/// Counters describing what a Resolve() call did with its input; used by the
+/// Counters describing what a ResolveRefs() call did with its input; used by the
 /// pipeline for data-quality monitoring (the paper's Case 7 motivates
 /// watching for silently dropped or zeroed data).
 struct ResolveStats {
@@ -39,7 +39,7 @@ struct ResolveStats {
 };
 
 /// PeriodResolver implements Sec. IV-B: it converts raw extraction-timestamp
-/// events into ResolvedEvents with a [start, end) period.
+/// events into ResolvedEventViews with a [start, end) period.
 ///
 ///  * kLoggedDuration events end at their timestamp and start
 ///    `duration_ms` (or the spec's default) earlier.
@@ -55,22 +55,12 @@ class PeriodResolver {
   /// `catalog` must outlive the resolver.
   explicit PeriodResolver(const EventCatalog* catalog);
 
-  /// Resolves a batch of raw events (any mix of targets and names; order
-  /// does not matter — events are sorted internally). When `bounds` is
-  /// given, resolved periods are clamped into it and events that fall
-  /// entirely outside are dropped; unpaired stateful starts are closed at
-  /// min(start + expire, bounds.end).
-  StatusOr<std::vector<ResolvedEvent>> Resolve(
-      std::vector<RawEvent> raw,
-      std::optional<Interval> bounds = std::nullopt,
-      ResolveStats* stats = nullptr) const;
-
-  /// The zero-copy counterpart of Resolve: consumes non-owning refs into
-  /// SoA event storage and produces interned-id views. Both entry points
-  /// run the identical resolution core (same sort key, same dedup/pairing,
-  /// same emission order), so for the same events they produce the same
-  /// periods in the same order — the bit-identity the batch<->stream
-  /// equivalence suite pins.
+  /// Resolves a batch of events (any mix of targets and names; order
+  /// does not matter — events are sorted internally) into interned-id
+  /// views. When `bounds` is given, resolved periods are clamped into it
+  /// and events that fall entirely outside are dropped; unpaired stateful
+  /// starts are closed at min(start + expire, bounds.end). The refs must
+  /// stay valid for the call.
   StatusOr<std::vector<ResolvedEventView>> ResolveRefs(
       const std::vector<EventRef>& events,
       std::optional<Interval> bounds = std::nullopt,

@@ -15,9 +15,9 @@ namespace cdibot {
 /// A concrete action to execute on a target.
 struct ActionRequest {
   ActionType type = ActionType::kNullAction;
-  std::string target;       ///< VM id for VM operations, NC id otherwise
-  std::string source_rule;  ///< rule that triggered it (for audit)
-  int priority = 0;         ///< higher executes first
+  std::string target;         ///< VM id for VM operations, NC id otherwise
+  std::string source_rule{};  ///< rule that triggered it (for audit)
+  int priority = 0;           ///< higher executes first
   TimePoint submitted_at;
 };
 

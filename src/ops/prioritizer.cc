@@ -21,11 +21,11 @@ StatusOr<PrioritizedOperation> OperationPrioritizer::Score(
     const PendingVm& vm) const {
   PrioritizedOperation op;
   op.vm_id = vm.vm_id;
-  for (const ResolvedEvent& ev : vm.active_events) {
+  for (const ResolvedEventView& ev : vm.active_events) {
     CDIBOT_ASSIGN_OR_RETURN(const double w, weights_->WeightFor(ev));
     if (w > op.damage_rate) {
       op.damage_rate = w;
-      op.driving_event = ev.name;
+      op.driving_event = std::string(GlobalInterner().NameOf(ev.name_id));
     }
   }
   if (op.damage_rate <= 0.0) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "event/event.h"
+#include "event/event_view.h"
 #include "ops/actions.h"
 #include "weights/event_weights.h"
 
@@ -14,7 +14,7 @@ namespace cdibot {
 /// A VM awaiting an operation, with the events currently active on it.
 struct PendingVm {
   std::string vm_id;
-  std::vector<ResolvedEvent> active_events;
+  std::vector<ResolvedEventView> active_events{};
 };
 
 /// A prioritized operation decision for one VM.

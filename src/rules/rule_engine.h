@@ -35,7 +35,7 @@ struct RuleMatch {
   std::string rule_name;
   std::string target;
   TimePoint time;
-  std::vector<ActionSpec> actions;
+  std::vector<ActionSpec> actions{};
 };
 
 /// RuleEngine holds the rule set and matches it against the set of events

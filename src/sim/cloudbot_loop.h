@@ -39,7 +39,7 @@ struct AutomationLoopOptions {
     /// flow::Watchdog watching the pump's heartbeats (in event time)
     /// declares a stall after this much silence and drives the restore.
     /// Recovery by detection rather than by construction.
-    std::optional<Duration> watchdog_stall_timeout;
+    std::optional<Duration> watchdog_stall_timeout{};
   };
   /// Events bound for the streaming engine pass through a
   /// flow::BackpressureQueue instead of being ingested directly; a pump
@@ -77,8 +77,8 @@ struct AutomationLoopOptions {
     /// model from `weight_spec`, which travels in kInit.
     shard::ShardTransportMode transport =
         shard::ShardTransportMode::kInProcess;
-    std::string worker_binary;
-    std::optional<shard::WeightSpec> weight_spec;
+    std::string worker_binary{};
+    std::optional<shard::WeightSpec> weight_spec{};
     /// Recut the shard map halfway through the day's incidents: a mid-day
     /// rebalance with the stream still flowing, exercising range handoff
     /// under live traffic.

@@ -17,12 +17,12 @@ namespace cdibot {
 /// weight).
 struct Ticket {
   int64_t id = 0;
-  TimePoint time;
-  std::string target;
-  std::string text;
+  TimePoint time{};
+  std::string target{};
+  std::string text{};
   /// The related CloudBot event name, when the investigation identified one
   /// (drives Eq. 2); may be empty.
-  std::string related_event;
+  std::string related_event{};
 };
 
 /// Keyword-based ticket classifier — the PAI classification-model stand-in

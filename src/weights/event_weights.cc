@@ -47,33 +47,19 @@ StatusOr<TicketRankModel> TicketRankModel::FromCounts(
   // percentile 0.43+ and lands in level 2 of 4.
   const auto n = static_cast<int64_t>(num_levels);
   const auto total = static_cast<int64_t>(ranked.size());
-  std::unordered_map<std::string, int> levels;
-  std::unordered_map<uint32_t, int> levels_by_id;
+  std::unordered_map<uint32_t, int> levels;
   levels.reserve(ranked.size());
-  levels_by_id.reserve(ranked.size());
   for (int64_t r = 1; r <= total; ++r) {
     const int level = static_cast<int>((r * n + total - 1) / total);
     const std::string& name = ranked[static_cast<size_t>(r - 1)].first;
-    levels[name] = level;
-    levels_by_id[GlobalInterner().Intern(name)] = level;
+    levels[GlobalInterner().Intern(name)] = level;
   }
-  return TicketRankModel(num_levels, std::move(levels),
-                         std::move(levels_by_id));
-}
-
-int TicketRankModel::LevelFor(const std::string& event_name) const {
-  auto it = levels_.find(event_name);
-  return it == levels_.end() ? 1 : it->second;
+  return TicketRankModel(num_levels, std::move(levels));
 }
 
 int TicketRankModel::LevelForId(uint32_t name_id) const {
-  auto it = levels_by_id_.find(name_id);
-  return it == levels_by_id_.end() ? 1 : it->second;
-}
-
-double TicketRankModel::WeightFor(const std::string& event_name) const {
-  return static_cast<double>(LevelFor(event_name)) /
-         static_cast<double>(num_levels_);
+  auto it = levels_.find(name_id);
+  return it == levels_.end() ? 1 : it->second;
 }
 
 double TicketRankModel::WeightForId(uint32_t name_id) const {
@@ -96,28 +82,13 @@ StatusOr<EventWeightModel> EventWeightModel::Build(
   return EventWeightModel(std::move(ticket_model), options);
 }
 
-StatusOr<double> EventWeightModel::WeightFor(
-    const std::string& event_name, Severity level,
-    StabilityCategory category) const {
+StatusOr<double> EventWeightModel::WeightForId(
+    uint32_t name_id, Severity level, StabilityCategory category) const {
   // Unavailability is total loss of compute: unweighted duration ratio.
   if (category == StabilityCategory::kUnavailability) return 1.0;
 
-  auto ov = overrides_.find(event_name);
+  auto ov = overrides_.find(name_id);
   if (ov != overrides_.end()) return ov->second;
-
-  CDIBOT_ASSIGN_OR_RETURN(const double l_i,
-                          ExpertLevelWeight(level, options_.expert_levels));
-  const double p_j = ticket_model_.WeightFor(event_name);
-  return (options_.alpha_expert * l_i + options_.alpha_ticket * p_j) /
-         (options_.alpha_expert + options_.alpha_ticket);
-}
-
-StatusOr<double> EventWeightModel::WeightForId(
-    uint32_t name_id, Severity level, StabilityCategory category) const {
-  if (category == StabilityCategory::kUnavailability) return 1.0;
-
-  auto ov = overrides_by_id_.find(name_id);
-  if (ov != overrides_by_id_.end()) return ov->second;
 
   CDIBOT_ASSIGN_OR_RETURN(const double l_i,
                           ExpertLevelWeight(level, options_.expert_levels));
@@ -131,8 +102,7 @@ Status EventWeightModel::SetOverride(const std::string& event_name,
   if (weight < 0.0 || weight > 1.0) {
     return Status::InvalidArgument("weight override must be in [0, 1]");
   }
-  overrides_[event_name] = weight;
-  overrides_by_id_[GlobalInterner().Intern(event_name)] = weight;
+  overrides_[GlobalInterner().Intern(event_name)] = weight;
   return Status::OK();
 }
 

@@ -34,31 +34,30 @@ class TicketRankModel {
 
   int num_levels() const { return num_levels_; }
 
-  /// The 1-based customer level j of `event_name`; 1 for unknown events.
-  int LevelFor(const std::string& event_name) const;
-
-  /// Id-keyed twin of LevelFor for the zero-copy path. `name_id` must be a
-  /// GlobalInterner id (FromCounts interns every counted name there, so
-  /// the two lookups always agree).
+  /// The 1-based customer level j of the event with GlobalInterner id
+  /// `name_id`; 1 for unknown events (and for kInvalidId).
   int LevelForId(uint32_t name_id) const;
 
+  /// Name-keyed adapter of LevelForId. Looks the name up without interning
+  /// it, so querying an unknown name does not grow the interner.
+  int LevelFor(const std::string& event_name) const {
+    return LevelForId(GlobalInterner().Lookup(event_name));
+  }
+
   /// Eq. 2: p_j = j / n for the event's level.
-  double WeightFor(const std::string& event_name) const;
   double WeightForId(uint32_t name_id) const;
+  double WeightFor(const std::string& event_name) const {
+    return WeightForId(GlobalInterner().Lookup(event_name));
+  }
 
  private:
-  TicketRankModel(int num_levels,
-                  std::unordered_map<std::string, int> levels,
-                  std::unordered_map<uint32_t, int> levels_by_id)
-      : num_levels_(num_levels),
-        levels_(std::move(levels)),
-        levels_by_id_(std::move(levels_by_id)) {}
+  TicketRankModel(int num_levels, std::unordered_map<uint32_t, int> levels)
+      : num_levels_(num_levels), levels_(std::move(levels)) {}
 
   int num_levels_;
-  std::unordered_map<std::string, int> levels_;
-  /// Same mapping keyed by GlobalInterner id — the hot-path lookup hashes
-  /// a uint32 instead of a string.
-  std::unordered_map<uint32_t, int> levels_by_id_;
+  /// Customer level per counted event, keyed by GlobalInterner id
+  /// (FromCounts interns every counted name).
+  std::unordered_map<uint32_t, int> levels_;
 };
 
 /// Options for the composite model of Eq. 3.
@@ -86,24 +85,21 @@ class EventWeightModel {
   static StatusOr<EventWeightModel> Build(TicketRankModel ticket_model,
                                           EventWeightOptions options);
 
-  /// The composite weight for an event occurrence.
-  StatusOr<double> WeightFor(const std::string& event_name,
-                             Severity level,
-                             StabilityCategory category) const;
-
-  /// Id-keyed twin for the zero-copy path; `name_id` must be a
-  /// GlobalInterner id (ResolvedEventView::name_id always is). Computes
-  /// the identical arithmetic on identical inputs, so the two paths
-  /// produce bit-identical weights.
+  /// The composite weight for an occurrence of the event with
+  /// GlobalInterner id `name_id` (ResolvedEventView::name_id always is
+  /// one). The one implementation of Eq. 3 and of the overrides.
   StatusOr<double> WeightForId(uint32_t name_id, Severity level,
                                StabilityCategory category) const;
 
-  /// Convenience overload for a resolved event.
-  StatusOr<double> WeightFor(const ResolvedEvent& event) const {
-    return WeightFor(event.name, event.level, event.category);
+  /// Name-keyed adapter of WeightForId. Looks the name up without
+  /// interning it, so an unknown name weighs as an uncounted,
+  /// unoverridden event and does not grow the interner.
+  StatusOr<double> WeightFor(const std::string& event_name, Severity level,
+                             StabilityCategory category) const {
+    return WeightForId(GlobalInterner().Lookup(event_name), level, category);
   }
 
-  /// Convenience overload for a resolved-event view.
+  /// Convenience overload for a resolved event.
   StatusOr<double> WeightFor(const ResolvedEventView& event) const {
     return WeightForId(event.name_id, event.level, event.category);
   }
@@ -121,10 +117,8 @@ class EventWeightModel {
 
   TicketRankModel ticket_model_;
   EventWeightOptions options_;
-  std::unordered_map<std::string, double> overrides_;
-  /// Same overrides keyed by GlobalInterner id (SetOverride maintains
-  /// both in lockstep).
-  std::unordered_map<uint32_t, double> overrides_by_id_;
+  /// Weight overrides keyed by GlobalInterner id.
+  std::unordered_map<uint32_t, double> overrides_;
 };
 
 }  // namespace cdibot

@@ -1,31 +1,29 @@
 #include <gtest/gtest.h>
 
 #include "cdi/baselines.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-ResolvedEvent U(const char* start, const char* end) {
-  return ResolvedEvent{.name = "vm_crash",
-                       .target = "vm-1",
-                       .period = Interval(T(start), T(end)),
-                       .level = Severity::kFatal,
-                       .category = StabilityCategory::kUnavailability};
+ResolvedEventView U(const char* start, const char* end) {
+  return testutil::Resolved("vm_crash", Interval(T(start), T(end)),
+                            StabilityCategory::kUnavailability,
+                            Severity::kFatal);
 }
 
-ResolvedEvent P(const char* start, const char* end) {
-  return ResolvedEvent{.name = "slow_io",
-                       .target = "vm-1",
-                       .period = Interval(T(start), T(end)),
-                       .level = Severity::kCritical,
-                       .category = StabilityCategory::kPerformance};
+ResolvedEventView P(const char* start, const char* end) {
+  return testutil::Resolved("slow_io", Interval(T(start), T(end)),
+                            StabilityCategory::kPerformance,
+                            Severity::kCritical);
 }
 
 TEST(BaselinesTest, NoEventsMeansPerfectAvailability) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  auto stats = ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, day);
+  auto stats =
+      ComputeUnavailabilityStats(std::vector<ResolvedEventView>{}, day);
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats->downtime_percentage, 0.0);
   EXPECT_DOUBLE_EQ(stats->annual_interruption_rate, 0.0);
@@ -81,9 +79,10 @@ TEST(BaselinesTest, EventsClampIntoServicePeriod) {
 
 TEST(BaselinesTest, EmptyServicePeriodFails) {
   const Interval empty(T("2024-01-01 00:00"), T("2024-01-01 00:00"));
-  EXPECT_TRUE(ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, empty)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      ComputeUnavailabilityStats(std::vector<ResolvedEventView>{}, empty)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(BaselinesTest, MtbfSplitsServiceTimeAcrossEpisodes) {
@@ -104,7 +103,7 @@ TEST(BaselinesTest, FleetAggregation) {
                                       day)
                .value();  // 10% of one day
   auto b =
-      ComputeUnavailabilityStats(std::vector<ResolvedEvent>{}, day).value();
+      ComputeUnavailabilityStats(std::vector<ResolvedEventView>{}, day).value();
   UnavailabilityPartial partial;
   partial.AddVm(a, Duration::Days(1));
   partial.AddVm(b, Duration::Days(1));

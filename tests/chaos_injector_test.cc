@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -230,31 +231,83 @@ TEST(ChaosInjectorTest, RetryPolicyRidesOutFlakyIo) {
             injector.stats().io_failures_injected + 1);
 }
 
+// One table of validation cases, run through both validators: stream
+// ingest checks RawEvents, the batch job checks refs into the event log's
+// rows, and both must divert exactly the same events for the same reason.
+struct ValidationCase {
+  const char* label;
+  RawEvent event;
+  std::optional<QuarantineReason> want;
+};
+
+std::vector<ValidationCase> ValidationCases() {
+  const RawEvent good = CleanStream(1)[0];
+  std::vector<ValidationCase> cases;
+  auto add = [&cases, &good](const char* label, auto mutate,
+                             std::optional<QuarantineReason> want) {
+    RawEvent ev = good;
+    mutate(ev);
+    cases.push_back(ValidationCase{label, std::move(ev), want});
+  };
+  add("good", [](RawEvent&) {}, std::nullopt);
+  add("logged duration", [](RawEvent& ev) { ev.attrs["duration_ms"] = "2500"; },
+      std::nullopt);
+  add("duration among extra keys",
+      [](RawEvent& ev) { ev.attrs = {{"duration_ms", "42"}, {"k", "v"}}; },
+      std::nullopt);
+  add("other attrs only", [](RawEvent& ev) { ev.attrs["k"] = "v"; },
+      std::nullopt);
+  add("zero expire", [](RawEvent& ev) { ev.expire_interval = Duration(); },
+      std::nullopt);
+  add("no name", [](RawEvent& ev) { ev.name.clear(); },
+      QuarantineReason::kEmptyName);
+  add("no target", [](RawEvent& ev) { ev.target.clear(); },
+      QuarantineReason::kEmptyTarget);
+  add("severity 9", [](RawEvent& ev) { ev.level = static_cast<Severity>(9); },
+      QuarantineReason::kBadSeverity);
+  add("severity 0", [](RawEvent& ev) { ev.level = static_cast<Severity>(0); },
+      QuarantineReason::kBadSeverity);
+  add("negative expire",
+      [](RawEvent& ev) { ev.expire_interval = Duration::Millis(-5); },
+      QuarantineReason::kNegativeExpire);
+  add("garbage duration",
+      [](RawEvent& ev) { ev.attrs["duration_ms"] = "garbage"; },
+      QuarantineReason::kBadDurationAttr);
+  add("negative duration", [](RawEvent& ev) { ev.attrs["duration_ms"] = "-5"; },
+      QuarantineReason::kBadDurationAttr);
+  add("bad duration among extra keys",
+      [](RawEvent& ev) { ev.attrs = {{"duration_ms", "1x"}, {"k", "v"}}; },
+      QuarantineReason::kBadDurationAttr);
+  // The first defect wins: name before target before severity.
+  add("no name and no target",
+      [](RawEvent& ev) {
+        ev.name.clear();
+        ev.target.clear();
+      },
+      QuarantineReason::kEmptyName);
+  add("bad severity and negative expire",
+      [](RawEvent& ev) {
+        ev.level = static_cast<Severity>(7);
+        ev.expire_interval = Duration::Millis(-1);
+      },
+      QuarantineReason::kBadSeverity);
+  return cases;
+}
+
 TEST(QuarantineTest, ValidateRawEventFindsEachDefect) {
-  RawEvent good = CleanStream(1)[0];
-  EXPECT_FALSE(ValidateRawEvent(good).has_value());
+  for (const ValidationCase& c : ValidationCases()) {
+    EXPECT_EQ(ValidateRawEvent(c.event), c.want) << c.label;
+  }
+}
 
-  RawEvent no_name = good;
-  no_name.name.clear();
-  EXPECT_EQ(ValidateRawEvent(no_name), QuarantineReason::kEmptyName);
-
-  RawEvent no_target = good;
-  no_target.target.clear();
-  EXPECT_EQ(ValidateRawEvent(no_target), QuarantineReason::kEmptyTarget);
-
-  RawEvent bad_severity = good;
-  bad_severity.level = static_cast<Severity>(9);
-  EXPECT_EQ(ValidateRawEvent(bad_severity), QuarantineReason::kBadSeverity);
-
-  RawEvent negative_expire = good;
-  negative_expire.expire_interval = Duration::Millis(-5);
-  EXPECT_EQ(ValidateRawEvent(negative_expire),
-            QuarantineReason::kNegativeExpire);
-
-  RawEvent bad_duration = good;
-  bad_duration.attrs["duration_ms"] = "garbage";
-  EXPECT_EQ(ValidateRawEvent(bad_duration),
-            QuarantineReason::kBadDurationAttr);
+TEST(QuarantineTest, ValidateEventViewFindsEachDefect) {
+  EventRows rows;
+  for (const ValidationCase& c : ValidationCases()) {
+    const EventRef ref(&rows, rows.Append(c.event));
+    EXPECT_EQ(chaos::ValidateEventView(ref), c.want) << c.label;
+    EXPECT_EQ(chaos::ValidateEventView(ref), ValidateRawEvent(c.event))
+        << c.label;
+  }
 }
 
 TEST(QuarantineTest, SinkCountsAndCapsSamples) {

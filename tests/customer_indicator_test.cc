@@ -1,20 +1,17 @@
 #include <gtest/gtest.h>
 
 #include "cdi/customer_indicator.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-ResolvedEvent Res(const char* name, const char* start, const char* end,
-                  StabilityCategory cat,
-                  Severity level = Severity::kCritical) {
-  return ResolvedEvent{.name = name,
-                       .target = "vm-1",
-                       .period = Interval(T(start), T(end)),
-                       .level = level,
-                       .category = cat};
+ResolvedEventView Res(const char* name, const char* start, const char* end,
+                      StabilityCategory cat,
+                      Severity level = Severity::kCritical) {
+  return testutil::Resolved(name, Interval(T(start), T(end)), cat, level);
 }
 
 EventWeightModel MakeModel() {
@@ -47,14 +44,14 @@ TEST(CustomerFilterTest, FilterKeepsOnlyDisclosed) {
           StabilityCategory::kPerformance),
   });
   ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered[0].name, "slow_io");
+  EXPECT_EQ(testutil::NameOf(filtered[0].name_id), "slow_io");
 }
 
 TEST(CustomerIndicatorTest, CpiIsLowerBoundOfCdi) {
   const CustomerEventFilter filter = CustomerEventFilter::BuiltIn();
   const EventWeightModel model = MakeModel();
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  const std::vector<ResolvedEvent> events = {
+  const std::vector<ResolvedEventView> events = {
       Res("vm_crash", "2024-01-01 01:00", "2024-01-01 01:30",
           StabilityCategory::kUnavailability, Severity::kFatal),
       Res("slow_io", "2024-01-01 02:00", "2024-01-01 04:00",
@@ -81,7 +78,7 @@ TEST(CustomerIndicatorTest, DisclosedOnlyEventsGiveEqualPerspectives) {
   const CustomerEventFilter filter = CustomerEventFilter::BuiltIn();
   const EventWeightModel model = MakeModel();
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  const std::vector<ResolvedEvent> events = {
+  const std::vector<ResolvedEventView> events = {
       Res("slow_io", "2024-01-01 02:00", "2024-01-01 04:00",
           StabilityCategory::kPerformance),
   };
@@ -103,7 +100,7 @@ TEST(CustomerIndicatorTest, OverlapHidingIsExact) {
   const CustomerEventFilter filter = CustomerEventFilter::BuiltIn();
   const EventWeightModel model = MakeModel();
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  const std::vector<ResolvedEvent> events = {
+  const std::vector<ResolvedEventView> events = {
       // slow_io: critical + top tickets -> high weight, whole window.
       Res("slow_io", "2024-01-01 02:00", "2024-01-01 04:00",
           StabilityCategory::kPerformance, Severity::kFatal),

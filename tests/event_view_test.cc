@@ -21,8 +21,7 @@ RawEvent Make(const char* name, const char* time, const char* target) {
 }
 
 TEST(EventRowsTest, AppendEncodesColumnsAndInternsStrings) {
-  StringInterner interner;
-  EventRows rows(&interner);
+  EventRows rows;
   RawEvent ev = Make("slow_io", "2024-01-01 10:00", "vm-1");
   const uint32_t row = rows.Append(ev);
   EXPECT_EQ(rows.size(), 1u);
@@ -31,8 +30,8 @@ TEST(EventRowsTest, AppendEncodesColumnsAndInternsStrings) {
   EXPECT_EQ(rows.target(row), "vm-1");
   EXPECT_EQ(rows.level(row), Severity::kCritical);
   EXPECT_EQ(rows.expire_interval(row), Duration::Hours(24));
-  EXPECT_EQ(rows.name_id(row), interner.Lookup("slow_io"));
-  EXPECT_EQ(rows.target_id(row), interner.Lookup("vm-1"));
+  EXPECT_EQ(rows.name_id(row), GlobalInterner().Lookup("slow_io"));
+  EXPECT_EQ(rows.target_id(row), GlobalInterner().Lookup("vm-1"));
   // Re-appending the same strings reuses the ids.
   const uint32_t row2 = rows.Append(Make("slow_io", "2024-01-01 11:00",
                                          "vm-1"));
@@ -182,7 +181,7 @@ TEST(EventSpanTest, EmptySegmentsAreDroppedAndOverflowWorks) {
   EXPECT_EQ(seen, 12u);
 }
 
-TEST(EventSpanTest, MaterializeAllReconstructsEvents) {
+TEST(EventSpanTest, MaterializeReconstructsEvents) {
   EventRows rows;
   RawEvent ev = Make("qemu_live_upgrade", "2024-01-01 10:00", "vm-1");
   ev.attrs["duration_ms"] = "800";
@@ -190,7 +189,10 @@ TEST(EventSpanTest, MaterializeAllReconstructsEvents) {
   EventSpan span;
   span.AddSegment(EventSpan::Segment{.rows = &rows, .indices = nullptr,
                                      .first = 0, .last = 1});
-  const std::vector<RawEvent> out = span.MaterializeAll();
+  std::vector<RawEvent> out;
+  span.ForEach([&out](const EventRef& ref) {
+    out.push_back(ref.Materialize());
+  });
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].name, ev.name);
   EXPECT_EQ(out[0].time, ev.time);

@@ -110,7 +110,9 @@ TEST_F(IncidentsTest, HybridDefectOnlyHitsDefectiveModelHybrids) {
   auto by_model = RunDrilldown(result->per_vm, {.dimensions = {"model"}});
   ASSERT_TRUE(by_model.ok());
   for (const DrilldownGroup& g : by_model->groups) {
-    if (g.key == "gen3") EXPECT_DOUBLE_EQ(g.cdi.performance, 0.0);
+    if (g.key == "gen3") {
+      EXPECT_DOUBLE_EQ(g.cdi.performance, 0.0);
+    }
   }
 }
 
@@ -128,7 +130,9 @@ TEST_F(IncidentsTest, AllocationBugConfinedToCluster) {
   auto by_cluster = RunDrilldown(result->per_vm, {.dimensions = {"cluster"}});
   ASSERT_TRUE(by_cluster.ok());
   for (const DrilldownGroup& g : by_cluster->groups) {
-    if (g.key != cluster) EXPECT_DOUBLE_EQ(g.cdi.performance, 0.0);
+    if (g.key != cluster) {
+      EXPECT_DOUBLE_EQ(g.cdi.performance, 0.0);
+    }
   }
 }
 

@@ -2,23 +2,23 @@
 
 #include "cdi/indicator.h"
 #include "common/rng.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-WeightedEvent Ev(const char* start, const char* end, double w,
-                 const char* name = "e") {
-  return WeightedEvent{.period = Interval(T(start), T(end)),
-                       .weight = w,
-                       .name = name,
-                       .target = "vm"};
+WeightedEventView Ev(const char* start, const char* end, double w,
+                     const char* name = "e") {
+  return testutil::Weighted(Interval(T(start), T(end)), w,
+                            StabilityCategory::kPerformance, name);
 }
 
 TEST(ComputeCdiTest, NoEventsIsZero) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  EXPECT_DOUBLE_EQ(ComputeCdi(std::vector<WeightedEvent>{}, day).value(), 0.0);
+  EXPECT_DOUBLE_EQ(ComputeCdi(std::vector<WeightedEventView>{}, day).value(),
+                   0.0);
 }
 
 TEST(ComputeCdiTest, SingleEventRatio) {
@@ -108,7 +108,7 @@ TEST(ComputeCdiTest, FullCoverageAtWeightOneIsOne) {
 
 TEST(ComputeCdiTest, ValidationErrors) {
   const Interval empty(T("2024-01-01 10:00"), T("2024-01-01 10:00"));
-  EXPECT_TRUE(ComputeCdi(std::vector<WeightedEvent>{}, empty)
+  EXPECT_TRUE(ComputeCdi(std::vector<WeightedEventView>{}, empty)
                   .status()
                   .IsInvalidArgument());
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
@@ -128,7 +128,7 @@ TEST(ComputeDamageMinutesTest, ReturnsNumeratorInMinutes) {
 
 TEST(ComputeCdiNaiveTest, MatchesSweepOnMinuteAlignedEvents) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  const std::vector<WeightedEvent> events = {
+  const std::vector<WeightedEventView> events = {
       Ev("2024-01-01 01:00", "2024-01-01 01:30", 0.4),
       Ev("2024-01-01 01:15", "2024-01-01 02:00", 0.9),
       Ev("2024-01-01 23:00", "2024-01-02 00:00", 0.2),
@@ -160,7 +160,7 @@ class CdiPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CdiPropertyTest, SweepMatchesNaiveAndStaysBounded) {
   Rng rng(GetParam());
   const Interval day(T("2024-03-01 00:00"), T("2024-03-02 00:00"));
-  std::vector<WeightedEvent> events;
+  std::vector<WeightedEventView> events;
   const int n = static_cast<int>(rng.UniformInt(0, 40));
   double max_w = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -169,10 +169,10 @@ TEST_P(CdiPropertyTest, SweepMatchesNaiveAndStaysBounded) {
     const int64_t len_min = rng.UniformInt(1, 59);
     const double w = rng.Uniform(0.0, 1.0);
     max_w = std::max(max_w, w);
-    events.push_back(WeightedEvent{
-        .period = Interval(day.start + Duration::Minutes(start_min),
-                           day.start + Duration::Minutes(start_min + len_min)),
-        .weight = w});
+    events.push_back(testutil::Weighted(
+        Interval(day.start + Duration::Minutes(start_min),
+                 day.start + Duration::Minutes(start_min + len_min)),
+        w));
   }
   auto sweep = ComputeCdi(events, day);
   auto naive = ComputeCdiNaive(events, day);
@@ -193,16 +193,15 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, CdiPropertyTest,
 TEST(ComputeCdiTest, ManyTouchingEventsEqualOneSpanningEvent) {
   // Tiling invariance: N adjacent windows with equal weight == one event.
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  std::vector<WeightedEvent> tiled;
+  std::vector<WeightedEventView> tiled;
   for (int i = 0; i < 60; ++i) {
-    tiled.push_back(WeightedEvent{
-        .period = Interval(day.start + Duration::Minutes(i),
-                           day.start + Duration::Minutes(i + 1)),
-        .weight = 0.5});
+    tiled.push_back(testutil::Weighted(
+        Interval(day.start + Duration::Minutes(i),
+                 day.start + Duration::Minutes(i + 1)),
+        0.5));
   }
-  const std::vector<WeightedEvent> spanning = {WeightedEvent{
-      .period = Interval(day.start, day.start + Duration::Minutes(60)),
-      .weight = 0.5}};
+  const std::vector<WeightedEventView> spanning = {testutil::Weighted(
+      Interval(day.start, day.start + Duration::Minutes(60)), 0.5)};
   EXPECT_NEAR(ComputeCdi(tiled, day).value(),
               ComputeCdi(spanning, day).value(), 1e-12);
 }

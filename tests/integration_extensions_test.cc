@@ -10,6 +10,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "dataflow/csv.h"
+#include "event_test_util.h"
 #include "extract/surge.h"
 #include "ops/operation_platform.h"
 #include "ops/prioritizer.h"
@@ -92,13 +93,13 @@ TEST(ExtensionsIntegrationTest, PrioritizerFeedsOperationPlatform) {
   const Interval period(T("2024-01-01 10:00"), T("2024-01-01 10:10"));
   std::vector<PendingVm> pending = {
       {.vm_id = "vm-crash",
-       .active_events = {{.name = "vm_crash", .target = "vm-crash",
-                          .period = period, .level = Severity::kFatal,
-                          .category = StabilityCategory::kUnavailability}}},
+       .active_events = {testutil::Resolved(
+           "vm_crash", period, StabilityCategory::kUnavailability,
+           Severity::kFatal, "vm-crash")}},
       {.vm_id = "vm-slow",
-       .active_events = {{.name = "slow_io", .target = "vm-slow",
-                          .period = period, .level = Severity::kCritical,
-                          .category = StabilityCategory::kPerformance}}},
+       .active_events = {testutil::Resolved(
+           "slow_io", period, StabilityCategory::kPerformance,
+           Severity::kCritical, "vm-slow")}},
   };
   auto ranked = prioritizer.Rank(pending).value();
 

@@ -2,6 +2,7 @@
 
 #include "event/overrides.h"
 #include "event/period_resolver.h"
+#include "event_test_util.h"
 #include "storage/catalog_config.h"
 
 namespace cdibot {
@@ -66,7 +67,7 @@ TEST(OverridesTest, AdjustedCatalogDrivesResolution) {
   ev.time = T("2024-01-01 12:05");
   ev.target = "redis-vm";
   ev.expire_interval = Duration::Hours(24);
-  auto resolved = resolver.Resolve({ev});
+  auto resolved = testutil::ResolveRaw(resolver, {ev});
   ASSERT_TRUE(resolved.ok());
   ASSERT_EQ(resolved->size(), 1u);
   EXPECT_EQ(resolved->front().period.length(), Duration::Minutes(5));

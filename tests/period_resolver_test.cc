@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "event/period_resolver.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
@@ -22,13 +23,21 @@ class PeriodResolverTest : public ::testing::Test {
  protected:
   PeriodResolverTest()
       : catalog_(EventCatalog::BuiltIn()), resolver_(&catalog_) {}
+
+  StatusOr<std::vector<ResolvedEventView>> ResolveAll(
+      const std::vector<RawEvent>& raw,
+      std::optional<Interval> bounds = std::nullopt,
+      ResolveStats* stats = nullptr) const {
+    return testutil::ResolveRaw(resolver_, raw, bounds, stats);
+  }
+
   EventCatalog catalog_;
   PeriodResolver resolver_;
 };
 
 TEST_F(PeriodResolverTest, WindowedEventTracesBackOneWindow) {
   // slow_io has a 1-minute window: start = time - 1m (Sec. IV-B1).
-  auto out = resolver_.Resolve({Make("slow_io", "2024-01-01 12:17")});
+  auto out = ResolveAll({Make("slow_io", "2024-01-01 12:17")});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(out->front().period.start, T("2024-01-01 12:16"));
@@ -37,9 +46,9 @@ TEST_F(PeriodResolverTest, WindowedEventTracesBackOneWindow) {
 }
 
 TEST_F(PeriodResolverTest, ConsecutiveWindowedEventsTileTheEpisode) {
-  auto out = resolver_.Resolve({Make("slow_io", "2024-01-01 12:01"),
-                                Make("slow_io", "2024-01-01 12:02"),
-                                Make("slow_io", "2024-01-01 12:03")});
+  auto out = ResolveAll({Make("slow_io", "2024-01-01 12:01"),
+                         Make("slow_io", "2024-01-01 12:02"),
+                         Make("slow_io", "2024-01-01 12:03")});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 3u);
   // Sorted by time, periods tile [12:00, 12:03).
@@ -50,7 +59,7 @@ TEST_F(PeriodResolverTest, ConsecutiveWindowedEventsTileTheEpisode) {
 TEST_F(PeriodResolverTest, LoggedDurationUsesAttribute) {
   RawEvent ev = Make("qemu_live_upgrade", "2024-01-01 03:00:10");
   ev.attrs["duration_ms"] = "2500";
-  auto out = resolver_.Resolve({ev});
+  auto out = ResolveAll({ev});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(out->front().period.length(), Duration::Millis(2500));
@@ -58,7 +67,7 @@ TEST_F(PeriodResolverTest, LoggedDurationUsesAttribute) {
 }
 
 TEST_F(PeriodResolverTest, LoggedDurationFallsBackToDefault) {
-  auto out = resolver_.Resolve({Make("qemu_live_upgrade", "2024-01-01 03:00")});
+  auto out = ResolveAll({Make("qemu_live_upgrade", "2024-01-01 03:00")});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(out->front().period.length(),
@@ -69,7 +78,7 @@ TEST_F(PeriodResolverTest, LoggedDurationFallsBackToDefault) {
 // (t5 redundant) -> one ddos_blackhole event [t2, t4).
 TEST_F(PeriodResolverTest, PaperExample2StatefulDedupAndPairing) {
   ResolveStats stats;
-  auto out = resolver_.Resolve(
+  auto out = ResolveAll(
       {Make("ddos_blackhole_add", "2024-01-01 10:02"),   // t2
        Make("ddos_blackhole_add", "2024-01-01 10:03"),   // t3 (dropped)
        Make("ddos_blackhole_del", "2024-01-01 10:04"),   // t4
@@ -77,7 +86,7 @@ TEST_F(PeriodResolverTest, PaperExample2StatefulDedupAndPairing) {
       std::nullopt, &stats);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
-  EXPECT_EQ(out->front().name, "ddos_blackhole");
+  EXPECT_EQ(testutil::NameOf(out->front().name_id), "ddos_blackhole");
   EXPECT_EQ(out->front().period.start, T("2024-01-01 10:02"));
   EXPECT_EQ(out->front().period.end, T("2024-01-01 10:04"));
   EXPECT_EQ(stats.duplicate_details_dropped, 2u);
@@ -85,10 +94,10 @@ TEST_F(PeriodResolverTest, PaperExample2StatefulDedupAndPairing) {
 }
 
 TEST_F(PeriodResolverTest, StatefulAlternatingPairsResolveSeparately) {
-  auto out = resolver_.Resolve({Make("ddos_blackhole_add", "2024-01-01 01:00"),
-                                Make("ddos_blackhole_del", "2024-01-01 01:10"),
-                                Make("ddos_blackhole_add", "2024-01-01 02:00"),
-                                Make("ddos_blackhole_del", "2024-01-01 02:05")});
+  auto out = ResolveAll({Make("ddos_blackhole_add", "2024-01-01 01:00"),
+                         Make("ddos_blackhole_del", "2024-01-01 01:10"),
+                         Make("ddos_blackhole_add", "2024-01-01 02:00"),
+                         Make("ddos_blackhole_del", "2024-01-01 02:05")});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
   EXPECT_EQ((*out)[0].period.length(), Duration::Minutes(10));
@@ -97,7 +106,7 @@ TEST_F(PeriodResolverTest, StatefulAlternatingPairsResolveSeparately) {
 
 TEST_F(PeriodResolverTest, DanglingEndIsDropped) {
   ResolveStats stats;
-  auto out = resolver_.Resolve(
+  auto out = ResolveAll(
       {Make("ddos_blackhole_del", "2024-01-01 01:00")}, std::nullopt, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
@@ -107,7 +116,7 @@ TEST_F(PeriodResolverTest, DanglingEndIsDropped) {
 TEST_F(PeriodResolverTest, UnpairedStartClosesAtExpireOrBounds) {
   ResolveStats stats;
   // No bounds: closes at start + expire_interval (24h for built-in).
-  auto out = resolver_.Resolve(
+  auto out = ResolveAll(
       {Make("ddos_blackhole_add", "2024-01-01 01:00")}, std::nullopt, &stats);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
@@ -116,8 +125,8 @@ TEST_F(PeriodResolverTest, UnpairedStartClosesAtExpireOrBounds) {
 
   // With bounds: closes at the bounds end.
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  out = resolver_.Resolve({Make("ddos_blackhole_add", "2024-01-01 20:00")},
-                          day, &stats);
+  out = ResolveAll({Make("ddos_blackhole_add", "2024-01-01 20:00")},
+                   day, &stats);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ(out->front().period.end, day.end);
@@ -125,8 +134,8 @@ TEST_F(PeriodResolverTest, UnpairedStartClosesAtExpireOrBounds) {
 
 TEST_F(PeriodResolverTest, UnknownEventsAreCountedAndDropped) {
   ResolveStats stats;
-  auto out = resolver_.Resolve({Make("mystery_event", "2024-01-01 01:00")},
-                               std::nullopt, &stats);
+  auto out = ResolveAll({Make("mystery_event", "2024-01-01 01:00")},
+                        std::nullopt, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
   EXPECT_EQ(stats.unknown_dropped, 1u);
@@ -134,7 +143,7 @@ TEST_F(PeriodResolverTest, UnknownEventsAreCountedAndDropped) {
 
 TEST_F(PeriodResolverTest, BoundsClampAndDropOutside) {
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  auto out = resolver_.Resolve(
+  auto out = ResolveAll(
       {
           Make("slow_io", "2024-01-01 00:00:30"),  // straddles day start
           Make("slow_io", "2023-12-31 23:00"),     // fully before
@@ -148,7 +157,7 @@ TEST_F(PeriodResolverTest, BoundsClampAndDropOutside) {
 }
 
 TEST_F(PeriodResolverTest, TargetsAreIndependentForStatefulPairing) {
-  auto out = resolver_.Resolve({
+  auto out = ResolveAll({
       Make("ddos_blackhole_add", "2024-01-01 01:00", "vm-1"),
       Make("ddos_blackhole_add", "2024-01-01 01:05", "vm-2"),
       Make("ddos_blackhole_del", "2024-01-01 01:10", "vm-1"),
@@ -156,8 +165,8 @@ TEST_F(PeriodResolverTest, TargetsAreIndependentForStatefulPairing) {
   });
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
-  for (const ResolvedEvent& ev : *out) {
-    if (ev.target == "vm-1") {
+  for (const ResolvedEventView& ev : *out) {
+    if (testutil::NameOf(ev.target_id) == "vm-1") {
       EXPECT_EQ(ev.period.length(), Duration::Minutes(10));
     } else {
       EXPECT_EQ(ev.period.length(), Duration::Minutes(15));
@@ -166,7 +175,7 @@ TEST_F(PeriodResolverTest, TargetsAreIndependentForStatefulPairing) {
 }
 
 TEST_F(PeriodResolverTest, SeverityOfStartDetailIsKept) {
-  auto out = resolver_.Resolve(
+  auto out = ResolveAll(
       {Make("ddos_blackhole_add", "2024-01-01 01:00", "vm-1",
             Severity::kFatal),
        Make("ddos_blackhole_del", "2024-01-01 01:10", "vm-1",
@@ -177,7 +186,7 @@ TEST_F(PeriodResolverTest, SeverityOfStartDetailIsKept) {
 }
 
 TEST_F(PeriodResolverTest, EmptyInputYieldsEmptyOutput) {
-  auto out = resolver_.Resolve({});
+  auto out = ResolveAll({});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
 }

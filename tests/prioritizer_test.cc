@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "event_test_util.h"
 #include "ops/prioritizer.h"
 
 namespace cdibot {
@@ -7,13 +8,11 @@ namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-ResolvedEvent Res(const char* name, Severity level, StabilityCategory cat) {
-  return ResolvedEvent{
-      .name = name,
-      .target = "vm",
-      .period = Interval(T("2024-01-01 10:00"), T("2024-01-01 10:10")),
-      .level = level,
-      .category = cat};
+ResolvedEventView Res(const char* name, Severity level,
+                      StabilityCategory cat) {
+  return testutil::Resolved(
+      name, Interval(T("2024-01-01 10:00"), T("2024-01-01 10:10")), cat,
+      level, "vm");
 }
 
 EventWeightModel MakeModel() {

@@ -7,6 +7,7 @@
 #include "cdi/aggregate.h"
 #include "common/rng.h"
 #include "event/period_resolver.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
@@ -68,7 +69,7 @@ TEST_P(FuzzTest, ResolverInvariantsOnRandomStreams) {
   }
 
   ResolveStats stats;
-  auto resolved = resolver.Resolve(raw, bounds, &stats);
+  auto resolved = testutil::ResolveRaw(resolver, raw, bounds, &stats);
   ASSERT_TRUE(resolved.ok());
 
   size_t unknown_in = 0;
@@ -78,17 +79,19 @@ TEST_P(FuzzTest, ResolverInvariantsOnRandomStreams) {
   EXPECT_EQ(stats.unknown_dropped, unknown_in);
 
   std::map<std::string, std::vector<Interval>> stateful_periods;
-  for (const ResolvedEvent& ev : *resolved) {
+  for (const ResolvedEventView& ev : *resolved) {
     // Every period is non-empty and inside the bounds.
     EXPECT_FALSE(ev.period.empty());
     EXPECT_GE(ev.period.start, bounds.start);
     EXPECT_LE(ev.period.end, bounds.end);
     // Names are parent names, never details or unknowns.
-    EXPECT_TRUE(catalog.Contains(ev.name));
-    EXPECT_NE(ev.name, "ddos_blackhole_add");
-    EXPECT_NE(ev.name, "not_in_catalog");
-    if (ev.name == "ddos_blackhole") {
-      stateful_periods[ev.target].push_back(ev.period);
+    const std::string name(testutil::NameOf(ev.name_id));
+    EXPECT_TRUE(catalog.Contains(name));
+    EXPECT_NE(name, "ddos_blackhole_add");
+    EXPECT_NE(name, "not_in_catalog");
+    if (name == "ddos_blackhole") {
+      stateful_periods[std::string(testutil::NameOf(ev.target_id))].push_back(
+          ev.period);
     }
   }
   // Stateful episodes of one target never overlap (pairing is sequential).
@@ -138,19 +141,19 @@ TEST_P(FuzzTest, ResolverIsPermutationInvariant) {
     if (rng.Bernoulli(0.15)) raw.push_back(raw.back());
   }
 
-  auto canonical = [](std::vector<ResolvedEvent> events) {
+  auto canonical = [](std::vector<ResolvedEventView> events) {
     std::sort(events.begin(), events.end(),
-              [](const ResolvedEvent& a, const ResolvedEvent& b) {
-                return std::tie(a.target, a.name, a.period.start,
+              [](const ResolvedEventView& a, const ResolvedEventView& b) {
+                return std::tie(a.target_id, a.name_id, a.period.start,
                                 a.period.end) <
-                       std::tie(b.target, b.name, b.period.start,
+                       std::tie(b.target_id, b.name_id, b.period.start,
                                 b.period.end);
               });
     return events;
   };
 
   ResolveStats base_stats;
-  auto base = resolver.Resolve(raw, bounds, &base_stats);
+  auto base = testutil::ResolveRaw(resolver, raw, bounds, &base_stats);
   ASSERT_TRUE(base.ok());
   const auto base_sorted = canonical(*base);
 
@@ -162,14 +165,14 @@ TEST_P(FuzzTest, ResolverIsPermutationInvariant) {
                     0, static_cast<int64_t>(i) - 1))]);
     }
     ResolveStats stats;
-    auto resolved = resolver.Resolve(shuffled, bounds, &stats);
+    auto resolved = testutil::ResolveRaw(resolver, shuffled, bounds, &stats);
     ASSERT_TRUE(resolved.ok());
     const auto sorted = canonical(*resolved);
 
     ASSERT_EQ(sorted.size(), base_sorted.size()) << "round " << round;
     for (size_t i = 0; i < sorted.size(); ++i) {
-      EXPECT_EQ(sorted[i].name, base_sorted[i].name);
-      EXPECT_EQ(sorted[i].target, base_sorted[i].target);
+      EXPECT_EQ(sorted[i].name_id, base_sorted[i].name_id);
+      EXPECT_EQ(sorted[i].target_id, base_sorted[i].target_id);
       EXPECT_EQ(sorted[i].period.start, base_sorted[i].period.start);
       EXPECT_EQ(sorted[i].period.end, base_sorted[i].period.end);
       EXPECT_EQ(sorted[i].level, base_sorted[i].level);
@@ -210,7 +213,7 @@ TEST_P(FuzzTest, LateDeliverySplitIsExact) {
   }
 
   ResolveStats full_stats;
-  auto full = resolver.Resolve(raw, bounds, &full_stats);
+  auto full = testutil::ResolveRaw(resolver, raw, bounds, &full_stats);
   ASSERT_TRUE(full.ok());
 
   // "On-time" prefix arrives first, "late" suffix arrives afterwards in
@@ -220,15 +223,15 @@ TEST_P(FuzzTest, LateDeliverySplitIsExact) {
   std::vector<RawEvent> replay(raw.begin(), raw.begin() + cut);
   for (size_t i = raw.size(); i > cut; --i) replay.push_back(raw[i - 1]);
   ResolveStats replay_stats;
-  auto replayed = resolver.Resolve(replay, bounds, &replay_stats);
+  auto replayed = testutil::ResolveRaw(resolver, replay, bounds, &replay_stats);
   ASSERT_TRUE(replayed.ok());
 
   ASSERT_EQ(replayed->size(), full->size());
   double full_minutes = 0.0, replay_minutes = 0.0;
-  for (const ResolvedEvent& ev : *full) {
+  for (const ResolvedEventView& ev : *full) {
     full_minutes += ev.period.length().minutes();
   }
-  for (const ResolvedEvent& ev : *replayed) {
+  for (const ResolvedEventView& ev : *replayed) {
     replay_minutes += ev.period.length().minutes();
   }
   EXPECT_DOUBLE_EQ(full_minutes, replay_minutes);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "event/period_resolver.h"
+#include "event_test_util.h"
 #include "sim/scenario.h"
 
 namespace cdibot {
@@ -28,11 +29,12 @@ TEST_F(ScenarioTest, WindowedEpisodeTilesPeriod) {
   EXPECT_EQ(log_.size(), 5u);
   // Resolving recovers the full episode.
   PeriodResolver resolver(&catalog_);
-  auto resolved = resolver.Resolve(
+  auto resolved = testutil::ResolveRaw(
+      resolver,
       log_.Search(Interval(T("2024-01-01 00:00"), T("2024-01-02 00:00"))));
   ASSERT_TRUE(resolved.ok());
   Duration total;
-  for (const ResolvedEvent& ev : *resolved) total += ev.period.length();
+  for (const ResolvedEventView& ev : *resolved) total += ev.period.length();
   EXPECT_EQ(total, Duration::Minutes(5));
 }
 

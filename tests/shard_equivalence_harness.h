@@ -54,7 +54,7 @@ struct ShardRunOptions {
   bool inject_failure = false;
   /// Applied to the topology options after the defaults (transport mode,
   /// session tuning, chaos decorator, worker binary...).
-  std::function<void(shard::ShardTopologyOptions&)> configure;
+  std::function<void(shard::ShardTopologyOptions&)> configure{};
 };
 
 class ShardEquivalenceHarness {

@@ -10,6 +10,7 @@
 #include "cdi/indicator.h"
 #include "cdi/pipeline.h"
 #include "common/wire.h"
+#include "event_test_util.h"
 #include "shard/message.h"
 
 namespace cdibot {
@@ -17,11 +18,10 @@ namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-WeightedEvent Ev(const char* name, const char* start, const char* end,
-                 double w) {
-  return WeightedEvent{.period = Interval(T(start), T(end)),
-                       .weight = w,
-                       .name = name};
+WeightedEventView Ev(const char* name, const char* start, const char* end,
+                     double w) {
+  return testutil::Weighted(Interval(T(start), T(end)), w,
+                            StabilityCategory::kPerformance, name);
 }
 
 // Exact closed forms of the table's rows:

@@ -1,19 +1,16 @@
 #include <gtest/gtest.h>
 
 #include "cdi/vm_cdi.h"
+#include "event_test_util.h"
 
 namespace cdibot {
 namespace {
 
 TimePoint T(const char* s) { return TimePoint::Parse(s).value(); }
 
-ResolvedEvent Res(const char* name, const char* start, const char* end,
-                  Severity level, StabilityCategory cat) {
-  return ResolvedEvent{.name = name,
-                       .target = "vm-1",
-                       .period = Interval(T(start), T(end)),
-                       .level = level,
-                       .category = cat};
+ResolvedEventView Res(const char* name, const char* start, const char* end,
+                      Severity level, StabilityCategory cat) {
+  return testutil::Resolved(name, Interval(T(start), T(end)), cat, level);
 }
 
 EventWeightModel MakeModel() {
@@ -23,6 +20,15 @@ EventWeightModel MakeModel() {
       4);
   auto model = EventWeightModel::Build(std::move(ticket).value(), {});
   return std::move(model).value();
+}
+
+// Weights then computes, as the per-VM pipeline does.
+StatusOr<VmCdi> WeighAndCompute(const std::vector<ResolvedEventView>& events,
+                                const EventWeightModel& model,
+                                const Interval& service_period) {
+  CDIBOT_ASSIGN_OR_RETURN(const std::vector<WeightedEventView> weighted,
+                          AttachWeights(events, model));
+  return ComputeVmCdi(weighted, service_period);
 }
 
 TEST(AttachWeightsTest, MapsWeightsPerEvent) {
@@ -38,14 +44,14 @@ TEST(AttachWeightsTest, MapsWeightsPerEvent) {
   EXPECT_DOUBLE_EQ((*weighted)[0].weight, 1.0);  // unavailability
   // slow_io: l = 0.75; ticket rank 3rd of 4 -> p = 0.75 -> w = 0.75.
   EXPECT_DOUBLE_EQ((*weighted)[1].weight, 0.75);
-  EXPECT_EQ((*weighted)[1].name, "slow_io");
+  EXPECT_EQ(testutil::NameOf((*weighted)[1].name_id), "slow_io");
 }
 
 TEST(ComputeVmCdiTest, SplitsByCategory) {
   EventWeightModel model = MakeModel();
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
   // 144 minutes of unavailability = 10% of the day.
-  auto cdi = ComputeVmCdi(
+  auto cdi = WeighAndCompute(
       {Res("vm_crash", "2024-01-01 00:00", "2024-01-01 02:24",
            Severity::kFatal, StabilityCategory::kUnavailability),
        Res("slow_io", "2024-01-01 10:00", "2024-01-01 10:10",
@@ -65,7 +71,7 @@ TEST(ComputeVmCdiTest, SplitsByCategory) {
 TEST(ComputeVmCdiTest, CategoriesDoNotLeakIntoEachOther) {
   EventWeightModel model = MakeModel();
   const Interval day(T("2024-01-01 00:00"), T("2024-01-02 00:00"));
-  auto cdi = ComputeVmCdi(
+  auto cdi = WeighAndCompute(
       {Res("slow_io", "2024-01-01 00:00", "2024-01-02 00:00",
            Severity::kFatal, StabilityCategory::kPerformance)},
       model, day);
@@ -78,7 +84,7 @@ TEST(ComputeVmCdiTest, CategoriesDoNotLeakIntoEachOther) {
 TEST(ComputeVmCdiTest, EmptyServicePeriodFails) {
   EventWeightModel model = MakeModel();
   const Interval empty(T("2024-01-01 00:00"), T("2024-01-01 00:00"));
-  EXPECT_TRUE(ComputeVmCdi(std::vector<WeightedEvent>{}, empty)
+  EXPECT_TRUE(ComputeVmCdi(std::vector<WeightedEventView>{}, empty)
                   .status()
                   .IsInvalidArgument());
   (void)model;
